@@ -7,8 +7,8 @@ import (
 	"dominantlink/internal/stats"
 )
 
-// This file pins the EM hot-path optimization (shared emission rows, fused
-// scaling/log-likelihood pass, fused M-step denominators) to the exact
+// This file pins the EM hot-path optimization (shared emission rows, the
+// log-likelihood summed once per fit, fused M-step denominators) to the exact
 // floating-point behavior of the implementation it replaced: refFit below is
 // a line-for-line transcription of the pre-optimization Fit, kept on naive
 // per-cell emissions and separate passes. Every parameter of the fitted
@@ -359,5 +359,17 @@ func TestGoldenScratchReuseStable(t *testing.T) {
 	requireIdenticalVec(t, "C", m2.C, snap.C)
 	if r2.LogLik != ll1 || r2.Iterations != it1 {
 		t.Errorf("re-fit drifted: loglik %v vs %v, iters %d vs %d", r2.LogLik, ll1, r2.Iterations, it1)
+	}
+}
+
+// TestGoldenLogLikelihoodMatchesReference pins LogLikelihood, which sums the
+// log scale factors once after the pass, to the reference E-step's sum.
+func TestGoldenLogLikelihoodMatchesReference(t *testing.T) {
+	obs := generate(twoRegimeModel(), 900, stats.NewRNG(6))
+	m := NewRandomModel(2, 4, obs, stats.NewRNG(31))
+	_, _, want := refForwardBackward(m, obs)
+	if got := m.LogLikelihood(obs); got != want {
+		t.Errorf("LogLikelihood %v (bits %x), reference %v (bits %x)",
+			got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }

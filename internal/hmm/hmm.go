@@ -364,24 +364,23 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// forwardBackward runs one scaled E-step. It returns gamma (T x N), the
-// transition accumulators, and the log-likelihood. The returned slices
-// alias sc's buffers and are invalidated by the next use of sc.
+// forwardBackward runs one scaled E-step. It returns gamma (T x N) and the
+// transition accumulators; the scale factors stay in sc for
+// Scratch.logLik. The returned slices alias sc's buffers and are
+// invalidated by the next use of sc.
 //
-// The recursions use the shared emission rows of Scratch.emissionRows and
-// fuse the scaling/log-likelihood pass into the forward sweep; all
+// The recursions use the shared emission rows of Scratch.emissionRows; all
 // floating-point operations run in the same order as the textbook
 // formulation they replaced, so fitted parameters are bit-identical (the
 // golden regression test pins this).
-func (m *Model) forwardBackward(obs []int, sc *Scratch) (gamma [][]float64, xiNum [][]float64, loglik float64) {
+func (m *Model) forwardBackward(obs []int, sc *Scratch) (gamma [][]float64, xiNum [][]float64) {
 	T := len(obs)
 	n := m.N
 	sc.ensure(T, n, m.M)
 	e := sc.emissionRows(m, obs)
 	alpha := sc.alpha
 	scale := sc.scale
-	// Forward, accumulating the log-likelihood as each scale factor is
-	// produced.
+	// Forward.
 	a0, e0 := alpha[0], e[0]
 	var c0 float64
 	for i := 0; i < n; i++ {
@@ -395,7 +394,6 @@ func (m *Model) forwardBackward(obs []int, sc *Scratch) (gamma [][]float64, xiNu
 		a0[i] /= c0
 	}
 	scale[0] = c0
-	loglik = math.Log(c0)
 	prev := a0
 	for t := 1; t < T; t++ {
 		at, et := alpha[t], e[t]
@@ -415,7 +413,6 @@ func (m *Model) forwardBackward(obs []int, sc *Scratch) (gamma [][]float64, xiNu
 			at[j] /= ct
 		}
 		scale[t] = ct
-		loglik += math.Log(ct)
 		prev = at
 	}
 	// Backward, with gamma and xi accumulation.
@@ -466,7 +463,17 @@ func (m *Model) forwardBackward(obs []int, sc *Scratch) (gamma [][]float64, xiNu
 			}
 		}
 	}
-	return gamma, xiNum, loglik
+	return gamma, xiNum
+}
+
+// logLik returns log P(obs | model) for the model of sc's last E-step over
+// a T-step sequence: the sum of the log scale factors in step order.
+func (sc *Scratch) logLik(T int) float64 {
+	var ll float64
+	for _, c := range sc.scale[:T] {
+		ll += math.Log(c)
+	}
+	return ll
 }
 
 // lossWeightInto fills w with w(i,m) = P(symbol = m+1 | hidden state i,
@@ -519,15 +526,20 @@ func FitWithScratch(obs []int, cfg Config, sc *Scratch) (*Model, *Result, error)
 		if cfg.Cancel != nil && canceled(cfg.Cancel) {
 			return nil, nil, ErrCanceled
 		}
-		loglik := model.emStepInto(obs, sc, spare)
+		model.emStepInto(obs, sc, spare)
 		res.Iterations = iter + 1
-		res.LogLik = loglik
 		delta := paramDelta(model, spare)
 		model, spare = spare, model
 		if delta < cfg.Threshold {
 			res.Converged = true
 			break
 		}
+	}
+	// The log-likelihood under the last iteration's starting parameters,
+	// from the scale factors its E-step left in sc; the posterior below
+	// overwrites them.
+	if res.Iterations > 0 {
+		res.LogLik = sc.logLik(len(obs))
 	}
 	res.VirtualPMF = model.lossSymbolPosterior(obs, sc)
 	return model, res, nil
@@ -538,17 +550,18 @@ func FitWithScratch(obs []int, cfg Config, sc *Scratch) (*Model, *Result, error)
 // *current* parameters. The EM loop in FitWithScratch uses emStepInto.
 func (m *Model) emStep(obs []int) (*Model, float64) {
 	next := newZeroModel(m.N, m.M)
-	ll := m.emStepInto(obs, NewScratch(), next)
-	return next, ll
+	sc := NewScratch()
+	m.emStepInto(obs, sc, next)
+	return next, sc.logLik(len(obs))
 }
 
 // emStepInto performs one EM iteration, writing the re-estimated
-// parameters into next and returning the log-likelihood of obs under the
-// *current* parameters.
-func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
+// parameters into next. The E-step's scale factors stay in sc for
+// Scratch.logLik.
+func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) {
 	T := len(obs)
 	n, M := m.N, m.M
-	gamma, xiNum, loglik := m.forwardBackward(obs, sc)
+	gamma, xiNum := m.forwardBackward(obs, sc)
 
 	next.N, next.M = n, M
 	copy(next.Pi, gamma[0])
@@ -648,7 +661,6 @@ func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
 			next.C[k] = m.C[k]
 		}
 	}
-	return loglik
 }
 
 // LossSymbolPosterior returns P(V = m | loss) under the model — eq. (5) —
@@ -667,7 +679,7 @@ func (m *Model) lossSymbolPosterior(obs []int, sc *Scratch) stats.PMF {
 	if nLoss == 0 {
 		return nil
 	}
-	gamma, _, _ := m.forwardBackward(obs, sc)
+	gamma, _ := m.forwardBackward(obs, sc)
 	pmf := stats.NewPMF(m.M)
 	weights := make([][]float64, m.N)
 	for i := 0; i < m.N; i++ {
@@ -690,8 +702,9 @@ func (m *Model) lossSymbolPosterior(obs []int, sc *Scratch) stats.PMF {
 
 // LogLikelihood returns log P(obs | model).
 func (m *Model) LogLikelihood(obs []int) float64 {
-	_, _, ll := m.forwardBackward(obs, NewScratch())
-	return ll
+	sc := NewScratch()
+	m.forwardBackward(obs, sc)
+	return sc.logLik(len(obs))
 }
 
 func normalizeRow(row []float64) {

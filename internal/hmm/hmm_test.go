@@ -164,7 +164,7 @@ func TestGammaNormalized(t *testing.T) {
 	rng := stats.NewRNG(8)
 	obs := generate(twoRegimeModel(), 500, rng)
 	m := NewRandomModel(3, 4, obs, stats.NewRNG(9))
-	gamma, _, _ := m.forwardBackward(obs, NewScratch())
+	gamma, _ := m.forwardBackward(obs, NewScratch())
 	for tt, g := range gamma {
 		var sum float64
 		for _, v := range g {

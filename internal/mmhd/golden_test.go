@@ -8,11 +8,13 @@ import (
 )
 
 // This file pins the EM hot-path optimization (shared per-observation
-// emission rows, cached per-step carving, fused scaling/log-likelihood
-// pass, precomputed C-index table) to the exact floating-point behavior of
-// the implementation it replaced: refFit below is a transcription of the
-// pre-optimization Fit on naive per-cell emissions and separate passes.
-// Fitted parameters and Result fields must match bit-for-bit.
+// emission rows, cached per-step carving, a flat copy of the transition
+// matrix, one backward/xi sweep, one M-step sweep over gamma, the
+// log-likelihood summed once per fit, precomputed C-index table) to the
+// exact floating-point behavior of the implementation it replaced: refFit
+// below is a transcription of the pre-optimization Fit on naive per-cell
+// emissions and separate passes. Fitted parameters and Result fields must
+// match bit-for-bit.
 
 // refEStep is the pre-optimization sparse scaled forward-backward pass with
 // fresh allocations, per-cell emission() calls, and a separate
@@ -273,20 +275,26 @@ func requireIdenticalMat(t *testing.T, name string, got, want [][]float64) {
 // TestGoldenFitMatchesReference runs the optimized Fit and the transcribed
 // pre-optimization reference on fixed-seed traces and requires bit-identical
 // fitted parameters and Result fields, across the per-symbol and per-state
-// loss variants. A shared Scratch is reused across every case to exercise
-// the carving cache on both the repeat-obs and changed-obs paths.
+// loss variants and both loop exits: the MaxIter cap and the converged
+// break. A shared Scratch is reused across every case to exercise the
+// carving cache on both the repeat-obs and changed-obs paths.
 func TestGoldenFitMatchesReference(t *testing.T) {
 	cases := []struct {
-		name string
-		T    int
-		loss float64
-		seed int64
-		cfg  Config
+		name      string
+		T         int
+		loss      float64
+		seed      int64
+		cfg       Config
+		converges bool // the reference must stop on the threshold, not the cap
 	}{
-		{"m5", 400, 0.05, 1, Config{HiddenStates: 2, Symbols: 5, Seed: 7, MaxIter: 40}},
-		{"m8", 600, 0.03, 2, Config{HiddenStates: 2, Symbols: 8, Seed: 11, MaxIter: 40}},
-		{"per-state", 400, 0.05, 3, Config{HiddenStates: 2, Symbols: 5, Seed: 13, MaxIter: 40, PerStateLoss: true}},
-		{"three-hidden", 300, 0.04, 4, Config{HiddenStates: 3, Symbols: 4, Seed: 17, MaxIter: 30}},
+		{"m5", 400, 0.05, 1, Config{HiddenStates: 2, Symbols: 5, Seed: 7, MaxIter: 40}, false},
+		{"m8", 600, 0.03, 2, Config{HiddenStates: 2, Symbols: 8, Seed: 11, MaxIter: 40}, false},
+		{"per-state", 400, 0.05, 3, Config{HiddenStates: 2, Symbols: 5, Seed: 13, MaxIter: 40, PerStateLoss: true}, false},
+		{"three-hidden", 300, 0.04, 4, Config{HiddenStates: 3, Symbols: 4, Seed: 17, MaxIter: 30}, false},
+		{"one-iteration", 400, 0.05, 1, Config{HiddenStates: 2, Symbols: 5, Seed: 7, MaxIter: 1}, false},
+		// The monitoring daemon's window shape at the default threshold and
+		// cap.
+		{"daemon-shape", 1500, 0.04, 5, Config{HiddenStates: 2, Symbols: 5, Seed: 3, PerStateLoss: true}, true},
 	}
 	sc := NewScratch()
 	for _, tc := range cases {
@@ -299,6 +307,9 @@ func TestGoldenFitMatchesReference(t *testing.T) {
 			wantM, wantR, err := refFit(obs, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.converges && !wantR.Converged {
+				t.Fatalf("reference ran to its cap (%d iterations); the case no longer pins the converged exit", wantR.Iterations)
 			}
 			requireIdenticalVec(t, "Pi", gotM.Pi, wantM.Pi)
 			requireIdenticalMat(t, "A", gotM.A, wantM.A)
@@ -340,5 +351,19 @@ func TestGoldenScratchReuseStable(t *testing.T) {
 	requireIdenticalVec(t, "C", m2.C, snap.C)
 	if r2.LogLik != ll1 || r2.Iterations != it1 {
 		t.Errorf("re-fit drifted: loglik %v vs %v, iters %d vs %d", r2.LogLik, ll1, r2.Iterations, it1)
+	}
+}
+
+// TestGoldenLogLikelihoodMatchesReference pins LogLikelihood, which sums the
+// log scale factors once after the pass, to the reference E-step's sum.
+func TestGoldenLogLikelihoodMatchesReference(t *testing.T) {
+	obs := benchObs(600, 5, 0.05, 8)
+	for _, perState := range []bool{false, true} {
+		m := newRandomModel(2, 5, obs, stats.NewRNG(29), perState)
+		_, _, _, want := refEStep(m, obs)
+		if got := m.LogLikelihood(obs); got != want {
+			t.Errorf("perState=%v: LogLikelihood %v (bits %x), reference %v (bits %x)",
+				perState, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

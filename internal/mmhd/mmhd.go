@@ -141,8 +141,14 @@ type Scratch struct {
 	alphaBack, gammaBack []float64
 	scale                []float64
 	beta, betaNext       []float64 // rolling backward pair, cap S
+	w                    []float64 // per-step emission*beta of the next step, cap S
 	xiNum                [][]float64
 	es                   eStepOut
+
+	// a is the current transition matrix copied row-major with stride S
+	// once per E-step, so the recursions index one flat array instead of
+	// loading a row header per cell.
+	a []float64
 
 	// Emission rows, shared per observation: an observed symbol v has the
 	// same emission row (1 - lossProb over its N active states) at every
@@ -255,6 +261,8 @@ func (sc *Scratch) prepare(obs []int, n, mSym int, perState bool) {
 	sc.scale = growFloats(sc.scale, T)
 	sc.beta = growFloats(sc.beta, S)
 	sc.betaNext = growFloats(sc.betaNext, S)
+	sc.w = growFloats(sc.w, S)
+	sc.a = growFloats(sc.a, S*S)
 	sc.xiNum = growMatrix(sc.xiNum, S, S)
 	sc.gammaSum = growFloats(sc.gammaSum, S)
 	cLen := mSym
@@ -428,15 +436,15 @@ func (m *Model) emission(s, o int) float64 {
 	return 1 - m.lossProb(s)
 }
 
-// eStep runs the scaled sparse forward-backward pass. It returns the
+// eStepOut is the result of a scaled sparse forward-backward pass: the
 // per-step active sets, the posterior state marginals gamma (parallel to
-// the active sets), the dense transition-count accumulator, and the
+// the active sets) and the dense transition-count accumulator. The scale
+// factors stay in the scratch; Scratch.logLik turns them into the
 // log-likelihood.
 type eStepOut struct {
-	act    [][]int
-	gamma  [][]float64
-	xiNum  [][]float64
-	loglik float64
+	act   [][]int
+	gamma [][]float64
+	xiNum [][]float64
 }
 
 // eStep allocates a private scratch; the EM loop uses eStepScratch.
@@ -446,22 +454,26 @@ func (m *Model) eStep(obs []int) *eStepOut {
 
 // eStepScratch runs the pass on sc's buffers; the returned eStepOut
 // aliases sc and is invalidated by sc's next use. The emission values come
-// from the shared per-observation rows (recomputed once per call) and the
-// scaling/log-likelihood pass is fused into the forward sweep; every
-// floating-point operation runs in the order of the formulation it
+// from the shared per-observation rows and the transition probabilities
+// from a flat row-major copy of A, both refreshed once per call. The
+// backward recursion and the xi accumulation share one sweep per step.
+// Every floating-point operation runs in the order of the formulation it
 // replaced, so fits are bit-identical (pinned by the golden test).
 func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 	T := len(obs)
+	S := m.N * m.M
 	sc.prepare(obs, m.N, m.M, m.PerStateLoss)
 	act := sc.act
 	emis := sc.emis // per-step shared emission rows
 	sc.fillEmissions(m)
+	A := sc.a
+	for s, row := range m.A {
+		copy(A[s*S:(s+1)*S], row)
+	}
 
 	alpha := sc.alpha
 	scale := sc.scale
-	A := m.A
-	// Forward, accumulating the log-likelihood as each scale factor is
-	// produced.
+	// Forward.
 	a0, e0 := alpha[0], emis[0]
 	var c0 float64
 	for k, s := range act[0] {
@@ -475,7 +487,6 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 		a0[k] /= c0
 	}
 	scale[0] = c0
-	loglik := math.Log(c0)
 	for t := 1; t < T; t++ {
 		prevAct, prevAlpha := act[t-1], alpha[t-1]
 		at, et := alpha[t], emis[t]
@@ -487,7 +498,7 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 				if av == 0 {
 					continue
 				}
-				sum += av * A[s][sp]
+				sum += av * A[s*S+sp]
 			}
 			at[k] = sum * et[k]
 			ct += at[k]
@@ -499,7 +510,6 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 			at[k] /= ct
 		}
 		scale[t] = ct
-		loglik += math.Log(ct)
 	}
 
 	// Backward, accumulating gamma and the xi numerator.
@@ -518,19 +528,31 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 	copy(gamma[T-1], alpha[T-1])
 	spareBeta := sc.betaNext
 	for t := T - 2; t >= 0; t-- {
-		nextAct, nextBeta, nextEmis := act[t+1], beta, emis[t+1]
+		nextAct, nextEmis := act[t+1], emis[t+1]
 		actT, at := act[t], alpha[t]
 		ct1 := scale[t+1]
+		w := sc.w[:len(nextAct)]
+		for kk := range w {
+			w[kk] = nextEmis[kk] * beta[kk]
+		}
+		// One sweep per source state: beta sums rowA[sp]*w over the next
+		// step's active states, and each xi cell gets its single add of
+		// this step. A zero alpha skips only the xi adds.
 		bt := spareBeta[:len(actT)]
 		for k, s := range actT {
-			rowA := A[s]
+			rowA := A[s*S : (s+1)*S]
+			rowXi := xiNum[s]
+			av := at[k]
 			var sum float64
 			for kk, sp := range nextAct {
-				w := nextEmis[kk] * nextBeta[kk]
-				if w == 0 {
+				wk := w[kk]
+				if wk == 0 {
 					continue
 				}
-				sum += rowA[sp] * w
+				sum += rowA[sp] * wk
+				if av != 0 {
+					rowXi[sp] += av * rowA[sp] * wk / ct1
+				}
 			}
 			bt[k] = sum / ct1
 		}
@@ -545,27 +567,21 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 				gt[k] /= gsum
 			}
 		}
-		// xi accumulation over active pairs.
-		for k, s := range actT {
-			av := at[k]
-			if av == 0 {
-				continue
-			}
-			rowA := A[s]
-			rowXi := xiNum[s]
-			for kk, sp := range nextAct {
-				w := nextEmis[kk] * nextBeta[kk]
-				if w == 0 {
-					continue
-				}
-				rowXi[sp] += av * rowA[sp] * w / ct1
-			}
-		}
 		spareBeta = beta[:cap(beta)]
 		beta = bt
 	}
-	sc.es = eStepOut{act: act, gamma: gamma, xiNum: xiNum, loglik: loglik}
+	sc.es = eStepOut{act: act, gamma: gamma, xiNum: xiNum}
 	return &sc.es
+}
+
+// logLik returns log P(obs | model) for the model of sc's last E-step over
+// a T-step sequence: the sum of the log scale factors in step order.
+func (sc *Scratch) logLik(T int) float64 {
+	var ll float64
+	for _, c := range sc.scale[:T] {
+		ll += math.Log(c)
+	}
+	return ll
 }
 
 // emStep performs one EM iteration with freshly allocated buffers,
@@ -573,14 +589,15 @@ func (m *Model) eStepScratch(obs []int, sc *Scratch) *eStepOut {
 // current parameters. The EM loop in FitWithScratch uses emStepInto.
 func (m *Model) emStep(obs []int) (*Model, float64) {
 	next := newZeroModel(m.N, m.M, m.PerStateLoss)
-	ll := m.emStepInto(obs, NewScratch(), next)
-	return next, ll
+	sc := NewScratch()
+	m.emStepInto(obs, sc, next)
+	return next, sc.logLik(len(obs))
 }
 
 // emStepInto performs one EM iteration on sc's buffers, writing the
-// re-estimated parameters into next and returning the log-likelihood
-// under the *current* parameters.
-func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
+// re-estimated parameters into next. The E-step's scale factors stay in
+// sc for Scratch.logLik.
+func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) {
 	T := len(obs)
 	S := m.States()
 	es := m.eStepScratch(obs, sc)
@@ -593,17 +610,43 @@ func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
 		next.Pi[s] = es.gamma[0][k]
 	}
 
-	// Transition matrix: xiNum / time spent in each source state over t < T-1.
+	// One sweep over gamma feeds both M-step sums; each accumulator still
+	// adds its terms in ascending t. gammaSum is the time spent in each
+	// source state over t < T-1; lossNum and occCount are the expected
+	// losses and occurrences over all t, pooled per symbol, or per state
+	// with PerStateLoss.
+	cLen := m.M
+	if m.PerStateLoss {
+		cLen = S
+	}
 	gammaSum := sc.gammaSum
 	for s := 0; s < S; s++ {
 		gammaSum[s] = 0
 	}
-	for t := 0; t < T-1; t++ {
+	lossNum := sc.lossNum
+	occCount := sc.occCount
+	for i := 0; i < cLen; i++ {
+		lossNum[i], occCount[i] = 0, 0
+	}
+	cIdx := sc.cIdx // state -> C index, precomputed in prepare
+	for t := 0; t < T; t++ {
+		isLoss := obs[t] == Loss
+		inA := t < T-1
 		gt := es.gamma[t]
 		for k, s := range es.act[t] {
-			gammaSum[s] += gt[k]
+			g := gt[k]
+			if inA {
+				gammaSum[s] += g
+			}
+			idx := cIdx[s]
+			occCount[idx] += g
+			if isLoss {
+				lossNum[idx] += g
+			}
 		}
 	}
+
+	// Transition matrix: xiNum / time spent in each source state.
 	for s := 0; s < S; s++ {
 		row := next.A[s]
 		if gs := gammaSum[s]; gs > 0 {
@@ -617,31 +660,8 @@ func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
 		}
 	}
 
-	// Loss probabilities: expected losses over expected occurrences, pooled
-	// per symbol, or per state with PerStateLoss.
+	// Loss probabilities: expected losses over expected occurrences.
 	next.PerStateLoss = m.PerStateLoss
-	cLen := m.M
-	if m.PerStateLoss {
-		cLen = S
-	}
-	lossNum := sc.lossNum
-	occCount := sc.occCount
-	for i := 0; i < cLen; i++ {
-		lossNum[i], occCount[i] = 0, 0
-	}
-	cIdx := sc.cIdx // state -> C index, precomputed in prepare
-	for t := 0; t < T; t++ {
-		isLoss := obs[t] == Loss
-		gt := es.gamma[t]
-		for k, s := range es.act[t] {
-			idx := cIdx[s]
-			g := gt[k]
-			occCount[idx] += g
-			if isLoss {
-				lossNum[idx] += g
-			}
-		}
-	}
 	for i := 0; i < cLen; i++ {
 		if occCount[i] > 0 {
 			next.C[i] = clamp(lossNum[i]/occCount[i], 0, 1-probFloor)
@@ -649,7 +669,6 @@ func (m *Model) emStepInto(obs []int, sc *Scratch, next *Model) float64 {
 			next.C[i] = m.C[i]
 		}
 	}
-	return es.loglik
 }
 
 // Fit runs EM from the paper's random initialization until convergence.
@@ -680,15 +699,20 @@ func FitWithScratch(obs []int, cfg Config, sc *Scratch) (*Model, *Result, error)
 		if cfg.Cancel != nil && canceled(cfg.Cancel) {
 			return nil, nil, ErrCanceled
 		}
-		loglik := model.emStepInto(obs, sc, spare)
+		model.emStepInto(obs, sc, spare)
 		res.Iterations = iter + 1
-		res.LogLik = loglik
 		delta := paramDelta(model, spare)
 		model, spare = spare, model
 		if delta < cfg.Threshold {
 			res.Converged = true
 			break
 		}
+	}
+	// The log-likelihood under the last iteration's starting parameters,
+	// from the scale factors its E-step left in sc; the posterior below
+	// overwrites them.
+	if res.Iterations > 0 {
+		res.LogLik = sc.logLik(len(obs))
 	}
 	res.VirtualPMF = model.lossSymbolPosterior(obs, sc)
 	return model, res, nil
@@ -727,7 +751,9 @@ func (m *Model) lossSymbolPosterior(obs []int, sc *Scratch) stats.PMF {
 
 // LogLikelihood returns log P(obs | model).
 func (m *Model) LogLikelihood(obs []int) float64 {
-	return m.eStep(obs).loglik
+	sc := NewScratch()
+	m.eStepScratch(obs, sc)
+	return sc.logLik(len(obs))
 }
 
 func validateObs(obs []int, mSym int) error {
