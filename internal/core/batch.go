@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -12,14 +11,16 @@ import (
 	"dominantlink/internal/trace"
 )
 
-// The batch identification path: the streaming pipeline hands each window
-// to this file as a trace.Batch view plus a pooled pipelineScratch, and
-// the stationarity gate, discretization and symbol encoding all run out of
-// the scratch's reused buffers. Every function here is the columnar twin
-// of a row-major original (StationarityCheck, NewDiscretization,
-// Discretization.Encode, IdentifyContext) and must stay bit-identical to
-// it: same gather order, same sort, same quantile rule, same float
-// arithmetic. The windower equivalence property test holds them to that.
+// The identification pipeline of §V, the only implementation of its
+// steps: gather a window's delivered delays once into a pooled
+// pipelineScratch, then run the stationarity gate, discretization, symbol
+// encoding and the EM restarts out of the scratch's reused buffers. The
+// streaming windower hands each window here as a trace.Batch view; the
+// row-major entry points (StationarityCheck, NewDiscretization,
+// Discretization.Encode, IdentifyContext, Engine.IdentifyJobs) convert
+// their observations with trace.BatchOfObservations and call the same
+// functions. rowref_test.go keeps the row-major implementation they
+// replaced as the reference both must match bit for bit.
 
 // pipelineScratch carries one window's reusable buffers across the
 // stationarity check, discretization and symbol encoding. gather must run
@@ -36,18 +37,27 @@ type pipelineScratch struct {
 var pipelinePool = sync.Pool{New: func() any { return new(pipelineScratch) }}
 
 // gather fills delays (delivered probes, trace order) and sorted from the
-// batch. The sort is the single ordering every downstream quantile shares,
-// exactly as the row path's stats.NewEmpirical copies would produce.
+// batch. The sort is the single ordering every downstream quantile shares.
 func (sc *pipelineScratch) gather(b *trace.Batch) {
 	sc.delays = b.AppendDelivered(sc.delays[:0])
 	sc.sorted = append(sc.sorted[:0], sc.delays...)
 	sort.Float64s(sc.sorted)
 }
 
+// gatherRows converts row-major observations into a batch and a pooled
+// scratch gathered from it: the first step of every row entry point. The
+// caller returns sc to pipelinePool.
+func gatherRows(obs []trace.Observation) (*trace.Batch, *pipelineScratch) {
+	b := trace.BatchOfObservations(obs)
+	sc := pipelinePool.Get().(*pipelineScratch)
+	sc.gather(b)
+	return b, sc
+}
+
 // stationarityCheckBatch is StationarityCheck on a columnar window: block
-// loss counts come from the loss bitmap (a popcount per block instead of a
-// scan) and block delay medians from contiguous subranges of the gathered
-// delays. sc must be gathered from b.
+// loss counts come from the loss bitmap (a popcount per block) and block
+// delay medians from contiguous subranges of the gathered delays. sc must
+// be gathered from b.
 func stationarityCheckBatch(b *trace.Batch, cfg StationarityConfig, sc *pipelineScratch) StationarityReport {
 	cfg.defaults()
 	rep := StationarityReport{LossRate: b.LossRate()}
@@ -109,8 +119,7 @@ func stationarityCheckBatch(b *trace.Batch, cfg StationarityConfig, sc *pipeline
 	return rep
 }
 
-// discretizeBatch is NewDiscretization from an already-gathered scratch:
-// the sorted delivered delays stand in for the Empirical sample.
+// discretizeBatch is NewDiscretization from an already-gathered scratch.
 func discretizeBatch(m int, knownProp float64, sc *pipelineScratch) (Discretization, error) {
 	if m < 1 {
 		return Discretization{}, errNeedSymbol
@@ -129,9 +138,9 @@ func discretizeBatch(m int, knownProp float64, sc *pipelineScratch) (Discretizat
 	return Discretization{M: m, Lo: lo, Hi: hi, BinWidth: (hi - lo) / float64(m)}, nil
 }
 
-// encodeBatch is Discretization.Encode into the scratch's reused symbol
-// buffer. The models copy what they retain (Scratch.lastObs), so handing
-// them the pooled buffer is safe.
+// encodeBatch is Discretization.Encode into the scratch's symbol buffer.
+// The models copy what they retain (Scratch.lastObs), so handing them a
+// pooled buffer is safe.
 func encodeBatch(b *trace.Batch, d Discretization, sc *pipelineScratch) []int {
 	n := b.Len()
 	if cap(sc.symbols) < n {
@@ -149,10 +158,10 @@ func encodeBatch(b *trace.Batch, d Discretization, sc *pipelineScratch) []int {
 	return sc.symbols
 }
 
-// identifyBatchContext is IdentifyContext on a columnar window, fed from
-// the scratch's reused buffers instead of per-window allocations. sc must
-// be gathered from b.
-func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, sc *pipelineScratch) (*Identification, error) {
+// identifyBatchContext identifies one columnar window: discretize, encode,
+// fit the EM restarts (busy feeds the restart policy, restartWorkers) and
+// test the best fit. sc must be gathered from b.
+func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, busy bool, sc *pipelineScratch) (*Identification, error) {
 	cfg.defaults()
 	if b.Len() == 0 {
 		return nil, ErrEmptyTrace
@@ -164,56 +173,17 @@ func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfi
 	if err != nil {
 		return nil, err
 	}
-	obs := encodeBatch(b, disc, sc)
-
 	emStart := time.Now()
-	fits, err := runRestarts(ctx, obs, cfg)
+	set, err := runRestarts(ctx, encodeBatch(b, disc, sc), cfg, busy)
 	if err != nil {
 		return nil, err
 	}
 	emTime := time.Since(emStart)
-	var (
-		pmf        stats.PMF
-		iterations int
-		converged  bool
-		loglik     float64
-	)
-	loglik = math.Inf(-1)
-	for r := range fits {
-		if fits[r].err != nil {
-			return nil, fits[r].err
-		}
-		// Strict > keeps the lowest restart index on ties, matching the
-		// serial loop.
-		if fits[r].loglik > loglik {
-			pmf, iterations, converged, loglik =
-				fits[r].pmf, fits[r].iterations, fits[r].converged, fits[r].loglik
-		}
-	}
-	if pmf == nil {
-		return nil, ErrNoLosses
-	}
-	id := identifyFromPMF(b.LossRate(), cfg, disc, pmf, iterations, converged, loglik)
-	id.EMTime = emTime
-	return id, nil
-}
-
-// identifyBatchOne is the engine's window entry point for the batch path:
-// the same hook and panic isolation as identifyOne, around
-// identifyBatchContext.
-func (e *Engine) identifyBatchOne(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, sc *pipelineScratch) (id *Identification, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			id, err = nil, fmt.Errorf("core: identification panicked: %v", r)
-		}
-	}()
-	if err := ctx.Err(); err != nil {
+	fit, err := set.best()
+	if err != nil {
 		return nil, err
 	}
-	if e.hook != nil {
-		if err := e.hook(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return identifyBatchContext(ctx, b, cfg, sc)
+	id := identifyFromPMF(b.LossRate(), cfg, disc, fit.pmf, fit.iterations, fit.converged, fit.loglik)
+	id.EMTime = emTime
+	return id, nil
 }

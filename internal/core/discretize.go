@@ -29,8 +29,7 @@ type Discretization struct {
 	BinWidth float64
 }
 
-// Discretization failures, shared by the row-major and batch paths so the
-// two report identical errors.
+// Discretization failures.
 var (
 	errNeedSymbol  = errors.New("core: need at least one symbol")
 	errNoDelivered = errors.New("core: no delivered probes to discretize")
@@ -50,28 +49,9 @@ const RangeQuantile = 0.995
 // fixes the propagation delay; knownProp == 0 approximates it by the
 // minimum observed delay (§V-A).
 func NewDiscretization(obs []trace.Observation, m int, knownProp float64) (Discretization, error) {
-	if m < 1 {
-		return Discretization{}, errNeedSymbol
-	}
-	delays := make([]float64, 0, len(obs))
-	for _, o := range obs {
-		if !o.Lost {
-			delays = append(delays, o.Delay)
-		}
-	}
-	if len(delays) == 0 {
-		return Discretization{}, errNoDelivered
-	}
-	e := stats.NewEmpirical(delays)
-	lo := e.Min()
-	hi := e.Quantile(RangeQuantile)
-	if knownProp > 0 {
-		lo = knownProp
-	}
-	if hi <= lo {
-		hi = lo + 1e-9 // degenerate but well-defined
-	}
-	return Discretization{M: m, Lo: lo, Hi: hi, BinWidth: (hi - lo) / float64(m)}, nil
+	_, sc := gatherRows(obs)
+	defer pipelinePool.Put(sc)
+	return discretizeBatch(m, knownProp, sc)
 }
 
 // Symbol maps a one-way delay to its 1-based symbol.
@@ -91,15 +71,9 @@ func (d Discretization) QueuingUpper(symbol int) float64 {
 // Encode converts a probe observation sequence into model input: Loss (0)
 // for lost probes, the delay symbol otherwise.
 func (d Discretization) Encode(obs []trace.Observation) []int {
-	out := make([]int, len(obs))
-	for i, o := range obs {
-		if o.Lost {
-			out[i] = 0
-		} else {
-			out[i] = d.Symbol(o.Delay)
-		}
-	}
-	return out
+	// The symbol buffer is returned to the caller, so it is not pooled.
+	sc := pipelineScratch{symbols: make([]int, len(obs))}
+	return encodeBatch(trace.BatchOfObservations(obs), d, &sc)
 }
 
 // ObservedPMF returns the distribution of the discretized queuing delays

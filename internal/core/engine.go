@@ -108,67 +108,60 @@ func (e *Engine) IdentifyBatch(ctx context.Context, traces []*trace.Trace, cfg I
 // that sweep a parameter (model kind, hidden-state count, symbols) over
 // one or many traces.
 //
-// Each job runs exactly as a lone IdentifyContext call would — same
-// restart seeds, same best-fit reduction — so batching never changes
-// results, only wall-clock. Restart-level parallelism inside a job
-// composes with the pool: jobs whose Config.Parallelism is 0 are fitted
-// with serial restarts when the batch alone can keep the pool busy
-// (len(jobs) >= workers), and keep their intra-trace parallelism
-// otherwise.
+// Each job runs through the same pipeline and engine step as a streamed
+// window — same restart seeds, same best-fit reduction as a lone
+// IdentifyContext call — so batching never changes results, only
+// wall-clock. The restart policy (restartWorkers) composes restart-level
+// parallelism with the pool: a batch with at least as many jobs as
+// workers keeps the pool busy, so jobs whose Config.Parallelism is 0 fit
+// their restarts serially; a smaller batch keeps intra-trace parallelism.
 func (e *Engine) IdentifyJobs(ctx context.Context, jobs []Job) []BatchResult {
 	results := make([]BatchResult, len(jobs))
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	saturated := len(jobs) >= e.workers
-	run := func(i int) {
-		job := jobs[i]
-		if saturated && job.Config.Parallelism == 0 {
-			job.Config.Parallelism = 1
-		}
-		id, err := e.identifyOne(ctx, job)
-		results[i] = BatchResult{Index: i, ID: id, Err: err}
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			run(i)
-		}
-		return results
-	}
+	busy := len(jobs) >= e.workers
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				run(i)
-				if ctx.Err() != nil {
-					// Drain the remaining jobs with the context error so
-					// every result is populated, then stop.
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(jobs) {
-							return
-						}
-						results[i] = BatchResult{Index: i, Err: ctx.Err()}
-					}
-				}
+	// work is the one job worker loop. Once ctx is canceled, every job not
+	// yet claimed reports ctx's error. A nil Trace is an empty one.
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
 			}
-		}()
+			if err := ctx.Err(); err != nil {
+				results[i] = BatchResult{Index: i, Err: err}
+				continue
+			}
+			var obs []trace.Observation
+			if tr := jobs[i].Trace; tr != nil {
+				obs = tr.Observations
+			}
+			b, sc := gatherRows(obs)
+			id, err := e.identify(ctx, b, jobs[i].Config, busy, sc)
+			pipelinePool.Put(sc)
+			results[i] = BatchResult{Index: i, ID: id, Err: err}
+		}
 	}
-	wg.Wait()
+	if workers := min(e.workers, len(jobs)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
 	return results
 }
 
-// identifyOne runs one job, converting a panic in the pipeline into an
-// error so a malformed trace cannot sink the rest of the batch.
-func (e *Engine) identifyOne(ctx context.Context, job Job) (id *Identification, err error) {
+// identify is the engine's one identification step, shared by batch jobs
+// and streamed windows: it runs the hook, then the pipeline on window b
+// (gathered into sc), and turns a panic in either into an error so one
+// malformed input cannot sink the rest of a batch or a stream.
+func (e *Engine) identify(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, busy bool, sc *pipelineScratch) (id *Identification, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			id, err = nil, fmt.Errorf("core: identification panicked: %v", r)
@@ -182,7 +175,7 @@ func (e *Engine) identifyOne(ctx context.Context, job Job) (id *Identification, 
 			return nil, err
 		}
 	}
-	return IdentifyContext(ctx, job.Trace, job.Config)
+	return identifyBatchContext(ctx, b, cfg, busy, sc)
 }
 
 // IdentifyBatch identifies traces concurrently on a GOMAXPROCS-sized

@@ -87,12 +87,14 @@ type IdentifyConfig struct {
 	// these assignments.
 	ExactX, ExactY, ExactTolerance bool
 
-	// Parallelism bounds the number of EM restarts fitted concurrently
-	// (and is the worker count a zero-valued EngineConfig inherits).
-	// 0 means GOMAXPROCS; 1 forces the serial restart loop. The selected
-	// fit is independent of Parallelism: restarts derive their seeds from
-	// their index, and ties in log-likelihood resolve to the lowest
-	// restart index, so the winner is the same fit the serial loop picks.
+	// Parallelism bounds the number of EM restarts fitted concurrently;
+	// 1 forces the serial restart loop. 0 leaves it to the restart policy
+	// (restartWorkers): GOMAXPROCS for a lone identification, serial when
+	// a batch or a windower already keeps its engine's pool busy. The
+	// selected fit is independent of Parallelism: restarts derive their
+	// seeds from their index, and ties in log-likelihood resolve to the
+	// lowest restart index, so the winner is the same fit the serial loop
+	// picks.
 	Parallelism int
 }
 
@@ -213,57 +215,17 @@ func Identify(tr *trace.Trace, cfg IdentifyConfig) (*Identification, error) {
 }
 
 // IdentifyContext is Identify with cancellation: the EM restarts are
-// fitted by a bounded worker pool (cfg.Parallelism workers, each with its
+// fitted by a bounded worker pool (see restartWorkers; each worker has its
 // own reusable forward-backward scratch), and a canceled context stops the
 // pipeline at the next restart boundary with ctx.Err(). For a fixed Seed
 // the outcome is identical whatever the parallelism: restart r always runs
-// from seed stats.RestartSeed(cfg.Seed, r), and the best-log-likelihood
-// reduction breaks ties in favor of the lowest restart index, exactly as
-// the serial loop does.
+// from seed stats.RestartSeed(cfg.Seed, r), and restartSet.best breaks
+// ties in favor of the lowest restart index. It runs the same columnar
+// pipeline as a streamed window, on a batch converted from tr.
 func IdentifyContext(ctx context.Context, tr *trace.Trace, cfg IdentifyConfig) (*Identification, error) {
-	cfg.defaults()
-	if len(tr.Observations) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	if cfg.Model != MMHD && cfg.Model != HMM {
-		return nil, fmt.Errorf("%w %d", ErrUnknownModel, cfg.Model)
-	}
-	disc, err := NewDiscretization(tr.Observations, cfg.Symbols, cfg.KnownPropagation)
-	if err != nil {
-		return nil, err
-	}
-	obs := disc.Encode(tr.Observations)
-
-	emStart := time.Now()
-	fits, err := runRestarts(ctx, obs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	emTime := time.Since(emStart)
-	var (
-		pmf        stats.PMF
-		iterations int
-		converged  bool
-		loglik     float64
-	)
-	loglik = math.Inf(-1)
-	for r := range fits {
-		if fits[r].err != nil {
-			return nil, fits[r].err
-		}
-		// Strict > keeps the lowest restart index on ties, matching the
-		// serial loop.
-		if fits[r].loglik > loglik {
-			pmf, iterations, converged, loglik =
-				fits[r].pmf, fits[r].iterations, fits[r].converged, fits[r].loglik
-		}
-	}
-	if pmf == nil {
-		return nil, ErrNoLosses
-	}
-	id := identifyFromPMF(tr.LossRate(), cfg, disc, pmf, iterations, converged, loglik)
-	id.EMTime = emTime
-	return id, nil
+	b, sc := gatherRows(tr.Observations)
+	defer pipelinePool.Put(sc)
+	return identifyBatchContext(ctx, b, cfg, false, sc)
 }
 
 // restartFit is the outcome of one EM restart.
@@ -273,6 +235,31 @@ type restartFit struct {
 	converged  bool
 	loglik     float64
 	err        error
+}
+
+// restartSet holds every EM restart of one identification, indexed by
+// restart.
+type restartSet []restartFit
+
+// best is the one restart reduction. The first error in restart order
+// fails the identification; otherwise the highest log-likelihood wins, and
+// the strict > keeps the lowest restart index on ties, so the winner does
+// not depend on how the restarts were scheduled. A set without a PMF (the
+// window has no losses) is ErrNoLosses.
+func (s restartSet) best() (restartFit, error) {
+	win := restartFit{loglik: math.Inf(-1)}
+	for _, f := range s {
+		if f.err != nil {
+			return restartFit{}, f.err
+		}
+		if f.loglik > win.loglik {
+			win = f
+		}
+	}
+	if win.pmf == nil {
+		return restartFit{}, ErrNoLosses
+	}
+	return win, nil
 }
 
 // fitScratch carries one worker's reusable EM work buffers.
@@ -339,52 +326,72 @@ func fitRestart(ctx context.Context, obs []int, cfg *IdentifyConfig, r int, sc *
 	return fit
 }
 
-// runRestarts fits all cfg.Restarts EM initializations, spreading them
-// over min(cfg.Parallelism, Restarts) workers. Each worker reuses one set
-// of scratch buffers across the restarts it picks up, so the steady-state
-// fit loop does not allocate. The returned slice is indexed by restart.
-func runRestarts(ctx context.Context, obs []int, cfg IdentifyConfig) ([]restartFit, error) {
+// restartWorkers is the restart policy: how many workers fit the EM
+// restarts of one identification. A positive cfg.Parallelism is the
+// answer; otherwise GOMAXPROCS, except that Parallelism 0 runs the
+// restarts serially when other identifications already keep the pool busy
+// (a batch with at least as many jobs as workers, or a windower with
+// several window slots), since those already use the cores. There are
+// never more workers than restarts. cfg must have its defaults applied.
+func restartWorkers(cfg IdentifyConfig, busy bool) int {
 	workers := cfg.Parallelism
+	if workers == 0 && busy {
+		workers = 1
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Restarts {
-		workers = cfg.Restarts
-	}
-	fits := make([]restartFit, cfg.Restarts)
-	if workers <= 1 {
-		sc := fitPool.Get().(*fitScratch)
-		defer fitPool.Put(sc)
-		for r := range fits {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			fits[r] = fitRestart(ctx, obs, &cfg, r, sc)
+	return min(workers, cfg.Restarts)
+}
+
+// restartRun is the state the restart workers of one identification
+// share: each claims the next restart index until all are taken or ctx is
+// canceled.
+type restartRun struct {
+	ctx  context.Context
+	obs  []int
+	cfg  IdentifyConfig
+	set  restartSet
+	next atomic.Int64
+}
+
+// work is the one restart worker loop. Each worker reuses one set of
+// scratch buffers across the restarts it claims, so the steady-state fit
+// loop does not allocate.
+func (run *restartRun) work() {
+	sc := fitPool.Get().(*fitScratch)
+	defer fitPool.Put(sc)
+	for {
+		r := int(run.next.Add(1)) - 1
+		if r >= len(run.set) || run.ctx.Err() != nil {
+			return
 		}
-		return fits, nil
+		run.set[r] = fitRestart(run.ctx, run.obs, &run.cfg, r, sc)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := fitPool.Get().(*fitScratch)
-			defer fitPool.Put(sc)
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= len(fits) || ctx.Err() != nil {
-					return
-				}
-				fits[r] = fitRestart(ctx, obs, &cfg, r, sc)
-			}
-		}()
+}
+
+// runRestarts fits all cfg.Restarts EM initializations on
+// restartWorkers(cfg, busy) workers. A single worker runs inline on the
+// caller's goroutine.
+func runRestarts(ctx context.Context, obs []int, cfg IdentifyConfig, busy bool) (restartSet, error) {
+	run := &restartRun{ctx: ctx, obs: obs, cfg: cfg, set: make(restartSet, cfg.Restarts)}
+	if workers := restartWorkers(cfg, busy); workers <= 1 {
+		run.work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				run.work()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return fits, nil
+	return run.set, nil
 }
 
 // IdentifyFromPMF applies the hypothesis tests and bound to an externally

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"dominantlink/internal/stats"
 	"dominantlink/internal/trace"
 )
 
@@ -62,71 +61,9 @@ type StationarityReport struct {
 // deviates from the overall median by more than the configured fraction
 // of the delay spread.
 func StationarityCheck(tr *trace.Trace, cfg StationarityConfig) StationarityReport {
-	cfg.defaults()
-	rep := StationarityReport{LossRate: tr.LossRate()}
-	n := len(tr.Observations)
-	if n == 0 || cfg.Blocks < 1 {
-		rep.Stationary = true
-		return rep
-	}
-
-	var delays []float64
-	for _, o := range tr.Observations {
-		if !o.Lost {
-			delays = append(delays, o.Delay)
-		}
-	}
-	if len(delays) == 0 {
-		rep.Stationary = false
-		return rep
-	}
-	all := stats.NewEmpirical(delays)
-	rep.Median = all.Quantile(0.5)
-	spread := all.Max() - all.Min()
-
-	blockLen := n / cfg.Blocks
-	if blockLen == 0 {
-		blockLen = 1
-	}
-	for start := 0; start < n; start += blockLen {
-		end := start + blockLen
-		if end > n {
-			end = n
-		}
-		var bDelays []float64
-		losses := 0
-		for _, o := range tr.Observations[start:end] {
-			if o.Lost {
-				losses++
-			} else {
-				bDelays = append(bDelays, o.Delay)
-			}
-		}
-		bs := BlockStats{Start: start, End: end}
-		bs.LossRate = float64(losses) / float64(end-start)
-		if len(bDelays) > 0 {
-			bs.MedianDelay = stats.NewEmpirical(bDelays).Quantile(0.5)
-		}
-		rep.Blocks = append(rep.Blocks, bs)
-		if end == n {
-			break
-		}
-	}
-
-	// Robust reference: the median block loss rate.
-	rates := make([]float64, len(rep.Blocks))
-	for i, b := range rep.Blocks {
-		rates[i] = b.LossRate
-	}
-	rep.RefLossRate = stats.NewEmpirical(rates).Quantile(0.5)
-
-	for _, bs := range rep.Blocks {
-		if blockViolates(bs, rep, cfg, spread) {
-			rep.Violations++
-		}
-	}
-	rep.Stationary = rep.Violations == 0
-	return rep
+	b, sc := gatherRows(tr.Observations)
+	defer pipelinePool.Put(sc)
+	return stationarityCheckBatch(b, cfg, sc)
 }
 
 // blockViolates applies the loss-rate and median-delay bands to a block.

@@ -572,11 +572,6 @@ func (w *Windower) identifyWindow(ctx context.Context, res WindowResult, b *trac
 			return res
 		}
 	}
-	// Window-level parallelism replaces restart-level parallelism when the
-	// pool has several workers, exactly like a saturated batch.
-	if cfg.Parallelism == 0 && w.engine.Workers() > 1 {
-		cfg.Parallelism = 1
-	}
 	ictx := ctx
 	if w.cfg.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -587,7 +582,8 @@ func (w *Windower) identifyWindow(ctx context.Context, res WindowResult, b *trac
 	if res.Trace != nil {
 		res.Trace.FitStartAt = start
 	}
-	res.ID, res.Err = w.engine.identifyBatchOne(ictx, b, cfg, sc)
+	// A pool of several window slots is busy with windows (restartWorkers).
+	res.ID, res.Err = w.engine.identify(ictx, b, cfg, w.engine.Workers() > 1, sc)
 	res.Elapsed = time.Since(start)
 	// A deadline expiry of THIS window (and not a cancellation of the whole
 	// stream) surfaces as the typed window-deadline error.

@@ -13,15 +13,14 @@ import (
 // replaced: refStream below is a direct transcription of the
 // pre-refactor Windower — materialize the stream, cut windows with the
 // same boundary rules, copy each window's observations into a fresh
-// trace, run StationarityCheck and a one-shot IdentifyContext, classify
-// transitions in order. Every WindowResult field except wall-clock
-// timings must match the ring-buffer pipeline bit for bit.
+// trace, run the row-major reference stationarity check and one-shot
+// identification (rowref_test.go), classify transitions in order. Every
+// WindowResult field except wall-clock timings must match the ring-buffer
+// pipeline bit for bit.
 
 // refStream replicates the copying windower over a materialized
-// observation slice. workers is the engine pool size of the run being
-// checked: it decides the restart-parallelism override exactly as
-// identifyWindow does.
-func refStream(t *testing.T, obs []trace.Observation, wcfg WindowConfig, cfg IdentifyConfig, workers int) []WindowResult {
+// observation slice.
+func refStream(t *testing.T, obs []trace.Observation, wcfg WindowConfig, cfg IdentifyConfig) []WindowResult {
 	t.Helper()
 	if err := (&wcfg).defaults(); err != nil {
 		t.Fatal(err)
@@ -70,14 +69,10 @@ func refStream(t *testing.T, obs []trace.Observation, wcfg WindowConfig, cfg Ide
 		tr := &trace.Trace{Observations: win}
 		res := WindowResult{Index: i, Start: sp.start, End: sp.end, Partial: sp.partial,
 			StartTime: win[0].SendTime, EndTime: win[len(win)-1].SendTime}
-		res.Stationarity = StationarityCheck(tr, wcfg.Gate)
+		res.Stationarity = refStationarityCheck(tr, wcfg.Gate)
 		res.Admitted = wcfg.DisableGate || res.Stationarity.Stationary
 		if res.Admitted {
-			icfg := cfg
-			if icfg.Parallelism == 0 && workers > 1 {
-				icfg.Parallelism = 1
-			}
-			res.ID, res.Err = IdentifyContext(context.Background(), tr, icfg)
+			res.ID, res.Err = refIdentifyContext(context.Background(), tr, cfg)
 		}
 		st.apply(&res)
 		out = append(out, res)
@@ -154,7 +149,7 @@ func TestWindowerMatchesCopyingReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := synthTrace(tc.n, 0.020, 0.120, 0.25, tc.seed)
-			want := refStream(t, tr.Observations, tc.wcfg, cfg, tc.workers)
+			want := refStream(t, tr.Observations, tc.wcfg, cfg)
 			got := startStream(t, tc.workers, tc.wcfg, tr.Source(), cfg)
 			diffResults(t, got, want)
 		})
@@ -172,7 +167,7 @@ func TestWindowerRecycledChunksStayIsolated(t *testing.T) {
 	cfg := IdentifyConfig{Seed: 5, Restarts: 1, Symbols: 4}
 	wcfg := WindowConfig{Size: 400, Stride: 100, DisableGate: true}
 	tr := synthTrace(4000, 0.020, 0.120, 0.25, 31)
-	want := refStream(t, tr.Observations, wcfg, cfg, 4)
+	want := refStream(t, tr.Observations, wcfg, cfg)
 	got := startStream(t, 4, wcfg, tr.Source(), cfg)
 	diffResults(t, got, want)
 }

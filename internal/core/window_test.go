@@ -36,12 +36,13 @@ func startStream(t *testing.T, workers int, wcfg WindowConfig, src trace.Observa
 
 // TestFullTraceWindowMatchesOneShot is the compatibility anchor of the
 // streaming pipeline: one window spanning the whole trace must reproduce
-// the one-shot Identify result exactly — same PMF, verdicts and bound.
+// the row-major one-shot reference (rowref_test.go) exactly — same PMF,
+// verdicts and bound.
 func TestFullTraceWindowMatchesOneShot(t *testing.T) {
 	tr := synthTrace(6000, 0.020, 0.120, 0.25, 1)
 	cfg := IdentifyConfig{X: 0.06, Y: 1e-9, Seed: 1}
 
-	want, err := Identify(tr, cfg)
+	want, err := refIdentifyContext(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,6 +325,37 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestCSVIngestRejectsNonFinite: a CSV body with a non-finite delay or
+// send time is refused whole with the 400 error envelope, naming the line,
+// and none of its rows reach the session.
+func TestCSVIngestRejectsNonFinite(t *testing.T) {
+	m := New(Config{Window: core.WindowConfig{Size: 1000}})
+	defer m.Close(context.Background())
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	for _, body := range []string{
+		"seq,send_time,delay,lost\n0,0.00,0.010,0\n1,0.02,NaN,0\n",
+		"seq,send_time,delay,lost\n0,0.00,0.010,0\n1,0.02,+Inf,0\n",
+		"seq,send_time,delay,lost\n0,0.00,0.010,0\n1,Inf,0,1\n",
+	} {
+		code, v := doJSON(t, srv.Client(), "POST", srv.URL+"/v1/paths/p/observations", "text/csv", body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("POST %q = %d %v, want 400", body, code, v)
+		}
+		env, _ := v["error"].(map[string]any)
+		if env["code"] != codeBadRequest || !strings.Contains(fmt.Sprint(env["message"]), "line 3") {
+			t.Fatalf("POST %q: envelope %v, want code %q naming line 3", body, v, codeBadRequest)
+		}
+	}
+	s, ok := m.Session("p")
+	if !ok {
+		t.Fatal("path p not created")
+	}
+	if got := s.Status().Ingested; got != 0 {
+		t.Fatalf("%d observations ingested from rejected bodies, want 0", got)
+	}
+}
+
 func TestHTTPBackpressure429(t *testing.T) {
 	m := New(Config{QueueSize: 4, Window: core.WindowConfig{Size: 1000}})
 	srv := httptest.NewServer(m.Handler())

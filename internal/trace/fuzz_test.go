@@ -2,6 +2,7 @@ package trace
 
 import (
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,11 @@ import (
 // FuzzStreamCSV drives the incremental CSV decoder over arbitrary input.
 // The invariants under fuzzing: Next never panics, every row either
 // yields a valid observation or a descriptive error, a non-EOF error is
-// terminal for the row that caused it, and delivered observations never
-// carry a negative delay (the parser's own validation promise). The seed
-// corpus covers the shapes the table tests exercise: headers, CRLF,
-// blank rows, truth-extended rows, malformed fields, mixed widths, and
-// negative delays.
+// terminal for the row that caused it, every send time is finite, and
+// delivered observations carry a finite, non-negative delay (the
+// parser's own validation promise). The seed corpus covers the shapes the
+// table tests exercise: headers, CRLF, blank rows, truth-extended rows,
+// malformed fields, mixed widths, negative delays and non-finite values.
 func FuzzStreamCSV(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -37,6 +38,12 @@ func FuzzStreamCSV(f *testing.F) {
 		"9223372036854775808,0,0.1,0\n",
 		"0,1e309,0.1,0\n",
 		",,,\n",
+		"0,0,NaN,0\n",
+		"0,0,Inf,0\n1,0.02,+Inf,0\n",
+		"0,0,-Inf,0\n",
+		"0,NaN,0.1,0\n",
+		"0,inf,0,1\n",
+		"0,0,nan,1\n",
 	} {
 		f.Add(seed)
 	}
@@ -56,6 +63,12 @@ func FuzzStreamCSV(f *testing.F) {
 			}
 			if !o.Lost && o.Delay < 0 {
 				t.Fatalf("parser admitted a negative delay on a delivered probe: %+v", o)
+			}
+			if math.IsNaN(o.SendTime) || math.IsInf(o.SendTime, 0) {
+				t.Fatalf("parser admitted a non-finite send time: %+v", o)
+			}
+			if !o.Lost && (math.IsNaN(o.Delay) || math.IsInf(o.Delay, 0)) {
+				t.Fatalf("parser admitted a non-finite delay on a delivered probe: %+v", o)
 			}
 			if o.Lost && o.Delay != 0 {
 				t.Fatalf("lost probe carries a delay: %+v", o)

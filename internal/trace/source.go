@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -206,6 +207,9 @@ func parseRow(row []string, line int) (Observation, GroundTruth, error) {
 	if o.SendTime, err = strconv.ParseFloat(field(1), 64); err != nil {
 		return o, gt, fmt.Errorf("trace: line %d: send_time: %v", line, err)
 	}
+	if math.IsNaN(o.SendTime) || math.IsInf(o.SendTime, 0) {
+		return o, gt, fmt.Errorf("trace: line %d: send_time: non-finite value %v", line, o.SendTime)
+	}
 	delay, err := strconv.ParseFloat(field(2), 64)
 	if err != nil {
 		return o, gt, fmt.Errorf("trace: line %d: delay: %v", line, err)
@@ -220,6 +224,9 @@ func parseRow(row []string, line int) (Observation, GroundTruth, error) {
 	if !o.Lost {
 		if delay < 0 {
 			return o, gt, fmt.Errorf("trace: line %d: negative delay %v on a delivered probe", line, delay)
+		}
+		if math.IsNaN(delay) || math.IsInf(delay, 0) {
+			return o, gt, fmt.Errorf("trace: line %d: non-finite delay %v on a delivered probe", line, delay)
 		}
 		o.Delay = delay
 	}

@@ -143,6 +143,11 @@ func TestStreamCSVErrorsCarryLineNumbers(t *testing.T) {
 		{"bad delay", "1,0,0,0\n2,0.02,z,0\n", "line 2"},
 		{"bad lost flag", "1,0,0,2\n", "line 1"},
 		{"negative delay", "seq,send_time,delay,lost\n1,0,-0.5,0\n", "line 2"},
+		{"NaN delay", "seq,send_time,delay,lost\n1,0,0.01,0\n2,0.02,NaN,0\n", "line 3"},
+		{"Inf delay", "1,0,Inf,0\n", "line 1"},
+		{"+Inf delay", "1,0,0.01,0\n2,0.02,+Inf,0\n", "line 2"},
+		{"NaN send_time", "seq,send_time,delay,lost\n1,NaN,0.01,0\n", "line 2"},
+		{"Inf send_time on a lost row", "1,0,0.01,0\n2,-Inf,0,1\n", "line 2"},
 		{"field count", "seq,send_time,delay,lost\n1,0,0\n", "line 2"},
 		{"mixed width", "0,0,0.1,0\n1,0.02,0.1,0,2,0.05,0.01;0.04\n", "line 2"},
 	}
@@ -166,6 +171,20 @@ func TestNegativeDelayOnLostRowIgnored(t *testing.T) {
 	}
 	if !tr.Observations[0].Lost || tr.Observations[0].Delay != 0 {
 		t.Fatalf("lost row parsed as %+v", tr.Observations[0])
+	}
+}
+
+func TestNonFiniteDelayOnLostRowIgnored(t *testing.T) {
+	// Like a negative one, a NaN or Inf in the delay column of a lost row
+	// is not a delay and must neither fail the parse nor leak through.
+	tr, err := ReadCSV(strings.NewReader("1,0.02,NaN,1\n2,0.04,Inf,1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range tr.Observations {
+		if !o.Lost || o.Delay != 0 {
+			t.Fatalf("lost row parsed as %+v", o)
+		}
 	}
 }
 
