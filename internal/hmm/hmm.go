@@ -745,10 +745,12 @@ func paramDelta(a, b *Model) float64 {
 	return maxAbsDiff(a.C, b.C, d)
 }
 
-// maxAbsDiff folds max(|x-y|) over two parameter rows into d.
+// maxAbsDiff folds max(|x-y|) over two parameter rows into d. A NaN
+// difference wins and stays, so a fit whose parameters went NaN never
+// passes the convergence test delta < Threshold.
 func maxAbsDiff(x, y []float64, d float64) float64 {
 	for i := range x {
-		if diff := math.Abs(x[i] - y[i]); diff > d {
+		if diff := math.Abs(x[i] - y[i]); diff > d || math.IsNaN(diff) {
 			d = diff
 		}
 	}

@@ -803,10 +803,12 @@ func paramDelta(a, b *Model) float64 {
 	return maxAbsDiff(a.C, b.C, d)
 }
 
-// maxAbsDiff returns max(d, max_i |x[i]-y[i]|).
+// maxAbsDiff returns max(d, max_i |x[i]-y[i]|). A NaN difference wins and
+// stays, so a fit whose parameters went NaN never passes the convergence
+// test delta < Threshold.
 func maxAbsDiff(x, y []float64, d float64) float64 {
 	for i, v := range x {
-		if diff := math.Abs(v - y[i]); diff > d {
+		if diff := math.Abs(v - y[i]); diff > d || math.IsNaN(diff) {
 			d = diff
 		}
 	}

@@ -344,3 +344,41 @@ func TestSymbolIndexing(t *testing.T) {
 		t.Fatal("symbol layout wrong")
 	}
 }
+
+// TestParamDeltaNaN pins the convergence guard: a NaN parameter anywhere
+// makes paramDelta NaN, whatever finite differences come before or after
+// it, so delta < Threshold is false and a NaN-poisoned fit never reports
+// Converged. Finite deltas stay the plain maximum.
+func TestParamDeltaNaN(t *testing.T) {
+	model := func() *Model {
+		return &Model{
+			Pi: []float64{0.5, 0.25, 0.25},
+			A:  [][]float64{{0.5, 0.5, 0}, {0.25, 0.5, 0.25}, {0, 0.5, 0.5}},
+			C:  []float64{0.125, 0.25, 0.5},
+		}
+	}
+	a, b := model(), model()
+	b.A[1][2] = 0.75
+	b.C[0] = 0.0625
+	if d := paramDelta(a, b); d != 0.5 {
+		t.Fatalf("finite paramDelta = %v, want 0.5", d)
+	}
+	slots := []func(m *Model) *float64{
+		func(m *Model) *float64 { return &m.Pi[0] },
+		func(m *Model) *float64 { return &m.A[1][1] },
+		func(m *Model) *float64 { return &m.A[2][2] },
+		func(m *Model) *float64 { return &m.C[2] },
+	}
+	for i, slot := range slots {
+		c := model()
+		c.A[1][2] = 0.75 // a larger finite difference elsewhere
+		*slot(c) = math.NaN()
+		d := paramDelta(a, c)
+		if !math.IsNaN(d) || d < 1e-3 {
+			t.Errorf("slot %d: paramDelta = %v with a NaN parameter, want NaN", i, d)
+		}
+	}
+	if d := maxAbsDiff([]float64{0, 1}, []float64{0.5, 3}, math.NaN()); !math.IsNaN(d) {
+		t.Errorf("maxAbsDiff dropped an incoming NaN: %v", d)
+	}
+}

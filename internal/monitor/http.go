@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -486,6 +489,18 @@ func (m *Monitor) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// Ingest decode buffers, reused across POSTs: a CSV body is read through
+// a pooled reader of the size trace.StreamCSV asks for (so it uses the
+// reader as is instead of allocating one per request), and a JSON body
+// is read into a pooled buffer. A buffer that grew past maxPooledBody
+// for an unusually large POST is left to the GC rather than kept.
+const maxPooledBody = 64 << 10
+
+var (
+	csvReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+	jsonBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
+
 // decodeBatch reads one ingestion body into a columnar batch: CSV in the
 // trace format when the Content-Type says so, else a JSON array of
 // observations (bare or under an "observations" key). The batch goes
@@ -494,7 +509,13 @@ func (m *Monitor) handleIngest(w http.ResponseWriter, r *http.Request) {
 func decodeBatch(r *http.Request) (*trace.Batch, error) {
 	body := http.MaxBytesReader(nil, r.Body, maxIngestBody)
 	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "csv") {
-		src := trace.StreamCSV(body)
+		br := csvReaders.Get().(*bufio.Reader)
+		br.Reset(body)
+		defer func() {
+			br.Reset(nil)
+			csvReaders.Put(br)
+		}()
+		src := trace.StreamCSV(br)
 		batch := trace.NewBatch(0)
 		for {
 			_, err := src.NextBatch(batch, 0)
@@ -506,11 +527,17 @@ func decodeBatch(r *http.Request) (*trace.Batch, error) {
 			}
 		}
 	}
-	raw, err := io.ReadAll(body)
-	if err != nil {
+	buf := jsonBodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			jsonBodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(body); err != nil {
 		return nil, fmt.Errorf("reading body: %v", err)
 	}
-	raw = bytes.TrimSpace(raw)
+	raw := bytes.TrimSpace(buf.Bytes())
 	var rows []obsJSON
 	if len(raw) > 0 && raw[0] == '{' {
 		var wrapped struct {
@@ -556,13 +583,67 @@ func (m *Monitor) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	results, next := s.Results(since)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"path":    s.ID(),
-		"state":   s.State().String(),
-		"next":    next,
-		"results": results,
+	// The reply streams: each record is encoded and written as the log
+	// scan yields it, so a reply holds one segment and the ring snapshot
+	// in memory however long the path's history. Its bytes are those of
+	// json.Marshal over {"next","path","results","state"} plus a newline:
+	// keys in sorted order, each record marshalled alone, [] when empty,
+	// and the state read after the results. bufio.Writer errors are
+	// sticky, so the last write of each step reports a failure in any.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriterSize(w, 32<<10)
+	var enc recordEncoder
+	sep := ""
+	err := s.eachResult(since, func(next int) error {
+		_, err := fmt.Fprintf(bw, `{"next":%d,"path":%s,"results":[`, next, mustJSON(s.ID()))
+		return err
+	}, func(wj *WindowJSON) error {
+		b, err := enc.encode(r.Context(), wj)
+		if err != nil {
+			return err
+		}
+		bw.WriteString(sep)
+		sep = ","
+		_, err = bw.Write(b)
+		return err
 	})
+	if err == nil {
+		fmt.Fprintf(bw, "],\"state\":%s}\n", mustJSON(s.State().String()))
+		err = bw.Flush()
+	}
+	if err != nil {
+		// The 200 is out, and maybe part of the body: abort, so net/http
+		// closes the connection without the chunked terminator. The
+		// client sees a transport error, never a short body that parses,
+		// and net/http logs no stack trace for this panic.
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// recordEncoder encodes one streamed record at a time into a reused
+// buffer, with json.Marshal's bytes (HTML escaping on, no trailing
+// newline) but without a fresh allocation per record.
+type recordEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encode returns v's JSON, valid until the next call. It fails once ctx
+// is done, so a reply to a client that went away stops at the next
+// record instead of encoding the rest of the scan.
+func (e *recordEncoder) encode(ctx context.Context, v any) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return e.buf.Bytes()[:e.buf.Len()-1], nil
 }
 
 // handleEvents serves the SSE feed: every window result as a "window"
@@ -604,23 +685,34 @@ func (m *Monitor) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": watching %s\n\n", s.ID())
 
-	emit := func(typ string, index int, data []byte) {
+	emit := func(typ string, index int, data []byte) error {
 		if index >= 0 {
 			fmt.Fprintf(w, "id: %d\n", index)
 		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", typ, data)
+		_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", typ, data)
+		return err
 	}
 	replayedThrough := -1
 	if backfillFrom >= 0 {
-		replay, next := s.Results(backfillFrom)
-		for _, wj := range replay {
-			data := mustJSON(eventJSON{Path: s.ID(), WindowJSON: wj})
-			emit("window", wj.Window, data)
-			if wj.Transition != "" {
-				emit("transition", wj.Window, data)
+		// Backfilled events are written as the log scan yields them, like
+		// a /results reply, and a failed encode or write aborts the same way.
+		var enc recordEncoder
+		err := s.eachResult(backfillFrom, func(next int) error {
+			replayedThrough = next - 1
+			return nil
+		}, func(wj *WindowJSON) error {
+			data, err := enc.encode(r.Context(), eventJSON{Path: s.ID(), WindowJSON: *wj})
+			if err != nil {
+				return err
 			}
+			if err := emit("window", wj.Window, data); err != nil || wj.Transition == "" {
+				return err
+			}
+			return emit("transition", wj.Window, data)
+		})
+		if err != nil {
+			panic(http.ErrAbortHandler)
 		}
-		replayedThrough = next - 1
 	}
 	fl.Flush()
 

@@ -780,43 +780,60 @@ func (s *Session) setStateLocked(st State) {
 // IS the wire model, so replayed windows are byte-identical to what the
 // original process served.
 func (s *Session) Results(since int) ([]WindowJSON, int) {
+	out, next := []WindowJSON{}, 0
+	s.eachResult(since, func(n int) error {
+		next = n
+		return nil
+	}, func(w *WindowJSON) error {
+		out = append(out, *w)
+		return nil
+	})
+	return out, next
+}
+
+// eachResult walks the window results with absolute index >= since, in
+// index order, without collecting them. Under s.mu it snapshots the
+// in-memory ring (at most MaxResults records) and next, the index to
+// resume polling from, and hands next to head before any record. It then
+// passes fn each durable record in [since, first) as the log scan yields
+// it — the scan holds one segment in memory and no log lock while fn
+// runs — followed by the ring snapshot. The scan stops at the ring's
+// first index, so no window is passed twice. fn must not retain w. The
+// first error from head or fn stops the walk and is returned.
+func (s *Session) eachResult(since int, head func(next int) error, fn func(w *WindowJSON) error) error {
 	s.mu.Lock()
 	first := s.firstResult
-	start := since - first
-	if start < 0 {
-		start = 0
-	}
-	if start > len(s.results) {
-		start = len(s.results)
-	}
-	mem := make([]WindowJSON, 0, len(s.results)-start)
+	start := min(max(since-first, 0), len(s.results))
+	ring := make([]WindowJSON, 0, len(s.results)-start)
 	for _, res := range s.results[start:] {
-		mem = append(mem, windowJSON(res))
+		ring = append(ring, windowJSON(res))
 	}
 	next := first + len(s.results)
 	s.mu.Unlock()
 
-	if since >= first || s.slog == nil {
-		return mem, next
+	if err := head(next); err != nil {
+		return err
 	}
-	// Disk backfill for [since, first): scan stops at the memory
-	// boundary, so the store is never read past what memory already
-	// serves and no window is returned twice.
-	disk := make([]WindowJSON, 0, first-since)
-	s.slog.Scan(int64(since), func(rec store.Record) error {
-		if rec.Kind != store.KindWindow {
-			return nil
+	if since < first && s.slog != nil {
+		err := s.slog.Scan(int64(since), func(rec store.Record) error {
+			if rec.Kind != store.KindWindow {
+				return nil
+			}
+			if rec.Window.Window >= first {
+				return store.ErrStop
+			}
+			return fn(&rec.Window)
+		})
+		if err != nil {
+			return err
 		}
-		if rec.Window.Window >= first {
-			return store.ErrStop
-		}
-		disk = append(disk, rec.Window)
-		return nil
-	})
-	if len(disk) == 0 {
-		return mem, next
 	}
-	return append(disk, mem...), next
+	for i := range ring {
+		if err := fn(&ring[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Status returns a JSON-ready snapshot of the session.
