@@ -84,7 +84,7 @@ func main() {
 	log.SetPrefix("dclserved: ")
 	var (
 		addr     = flag.String("addr", ":8844", "listen address")
-		workers  = flag.Int("workers", 0, "shared identification pool size (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "cores of EM, across all paths: shared window slots, idle ones lent to a window's restarts (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 4096, "per-session ingestion queue capacity (observations)")
 		results  = flag.Int("results", 512, "retained window results per session")
 		sessions = flag.Int("max-sessions", 1024, "live session cap")

@@ -240,6 +240,9 @@ var (
 	// ErrNoLosses reports a trace without a single lost probe, on which
 	// the dominant-congested-link question is undefined (§III-A).
 	ErrNoLosses = core.ErrNoLosses
+	// ErrNonFinite reports a trace with a NaN or ±Inf delivered delay, or
+	// EM restarts that all fitted a non-finite log-likelihood.
+	ErrNonFinite = core.ErrNonFinite
 	// ErrUnknownModel reports a ModelKind other than MMHD or HMM.
 	ErrUnknownModel = core.ErrUnknownModel
 )

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -127,6 +128,10 @@ func discretizeBatch(m int, knownProp float64, sc *pipelineScratch) (Discretizat
 	if len(sc.sorted) == 0 {
 		return Discretization{}, errNoDelivered
 	}
+	// sort.Float64s orders NaN first, then -Inf, and +Inf last.
+	if first, last := sc.sorted[0], sc.sorted[len(sc.sorted)-1]; math.IsNaN(first) || math.IsInf(first, 0) || math.IsInf(last, 0) {
+		return Discretization{}, ErrNonFinite
+	}
 	lo := sc.sorted[0]
 	hi := stats.QuantileSorted(sc.sorted, RangeQuantile)
 	if knownProp > 0 {
@@ -159,9 +164,10 @@ func encodeBatch(b *trace.Batch, d Discretization, sc *pipelineScratch) []int {
 }
 
 // identifyBatchContext identifies one columnar window: discretize, encode,
-// fit the EM restarts (busy feeds the restart policy, restartWorkers) and
-// test the best fit. sc must be gathered from b.
-func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, busy bool, sc *pipelineScratch) (*Identification, error) {
+// fit the EM restarts with fit (nil means fitRestart), borrowing slots
+// from pool, where the caller holds one (runRestarts), and test the best
+// fit. sc must be gathered from b.
+func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfig, pool *slotPool, fit fitFunc, sc *pipelineScratch) (*Identification, error) {
 	cfg.defaults()
 	if b.Len() == 0 {
 		return nil, ErrEmptyTrace
@@ -174,16 +180,16 @@ func identifyBatchContext(ctx context.Context, b *trace.Batch, cfg IdentifyConfi
 		return nil, err
 	}
 	emStart := time.Now()
-	set, err := runRestarts(ctx, encodeBatch(b, disc, sc), cfg, busy)
+	set, err := runRestarts(ctx, encodeBatch(b, disc, sc), cfg, pool, fit)
 	if err != nil {
 		return nil, err
 	}
 	emTime := time.Since(emStart)
-	fit, err := set.best()
+	win, err := set.best()
 	if err != nil {
 		return nil, err
 	}
-	id := identifyFromPMF(b.LossRate(), cfg, disc, fit.pmf, fit.iterations, fit.converged, fit.loglik)
+	id := identifyFromPMF(b.LossRate(), cfg, disc, win.pmf, win.iterations, win.converged, win.loglik)
 	id.EMTime = emTime
 	return id, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"dominantlink/internal/trace"
@@ -101,10 +102,14 @@ func TestIdentifyBatchErrorIsolation(t *testing.T) {
 	good := synthTrace(3000, 0.020, 0.120, 0.25, 21)
 	noLosses := &trace.Trace{Observations: obsSeq([]float64{0.02, 0.03, 0.04, 0.05}, nil)}
 	empty := &trace.Trace{}
+	nanDelay := &trace.Trace{Observations: obsSeq([]float64{0.02, math.NaN(), 0.04, 0}, []bool{false, false, false, true})}
 	results := NewEngine(2).IdentifyBatch(context.Background(),
-		[]*trace.Trace{good, noLosses, empty, good}, IdentifyConfig{Seed: 1})
+		[]*trace.Trace{good, noLosses, empty, good, nanDelay}, IdentifyConfig{Seed: 1})
 	if results[0].Err != nil || results[3].Err != nil {
 		t.Fatalf("good traces failed: %v, %v", results[0].Err, results[3].Err)
+	}
+	if !errors.Is(results[4].Err, ErrNonFinite) {
+		t.Fatalf("NaN-delay trace: got %v, want ErrNonFinite", results[4].Err)
 	}
 	if !errors.Is(results[1].Err, ErrNoLosses) {
 		t.Fatalf("loss-free trace: got %v, want ErrNoLosses", results[1].Err)

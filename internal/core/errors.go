@@ -4,7 +4,8 @@ import "errors"
 
 // Sentinel errors of the identification pipeline. They are wrapped (with
 // %w) where extra context helps, so match with errors.Is rather than
-// string comparison. The dominantlink facade re-exports all three.
+// string comparison. The dominantlink facade re-exports the identification
+// errors (ErrEmptyTrace, ErrNoLosses, ErrNonFinite, ErrUnknownModel).
 var (
 	// ErrEmptyTrace reports a trace with no observations at all.
 	ErrEmptyTrace = errors.New("core: empty trace")
@@ -15,6 +16,13 @@ var (
 	// (§III-A). Callers identifying many segments should treat this as
 	// "segment unusable", not as a failure of the pipeline.
 	ErrNoLosses = errors.New("core: trace has no losses; dominant congested link is undefined without losses (§III-A)")
+
+	// ErrNonFinite reports a window the pipeline cannot identify soundly
+	// because of non-finite numbers: a delivered delay that is NaN or
+	// ±Inf (one NaN would make the discretization range NaN and encode
+	// every delivered probe as one symbol), or EM restarts that all fitted
+	// a PMF with a NaN or -Inf log-likelihood.
+	ErrNonFinite = errors.New("core: non-finite delay or log-likelihood")
 
 	// ErrUnknownModel reports a ModelKind other than MMHD or HMM.
 	ErrUnknownModel = errors.New("core: unknown model kind")

@@ -88,13 +88,15 @@ type IdentifyConfig struct {
 	ExactX, ExactY, ExactTolerance bool
 
 	// Parallelism bounds the number of EM restarts fitted concurrently;
-	// 1 forces the serial restart loop. 0 leaves it to the restart policy
-	// (restartWorkers): GOMAXPROCS for a lone identification, serial when
-	// a batch or a windower already keeps its engine's pool busy. The
-	// selected fit is independent of Parallelism: restarts derive their
-	// seeds from their index, and ties in log-likelihood resolve to the
-	// lowest restart index, so the winner is the same fit the serial loop
-	// picks.
+	// 1 forces the serial restart loop. 0 leaves it to the slot pool the
+	// identification runs on (runRestarts): a lone identification has
+	// GOMAXPROCS slots, a batch or a stream its engine's Workers(), and
+	// the restarts borrow the slots no other job or window holds. A
+	// positive Parallelism is also the pool size of a lone
+	// identification. The selected fit is independent of Parallelism:
+	// restarts derive their seeds from their index, and ties in
+	// log-likelihood resolve to the lowest restart index, so the winner is
+	// the same fit the serial loop picks.
 	Parallelism int
 }
 
@@ -214,18 +216,24 @@ func Identify(tr *trace.Trace, cfg IdentifyConfig) (*Identification, error) {
 	return IdentifyContext(context.Background(), tr, cfg)
 }
 
-// IdentifyContext is Identify with cancellation: the EM restarts are
-// fitted by a bounded worker pool (see restartWorkers; each worker has its
-// own reusable forward-backward scratch), and a canceled context stops the
-// pipeline at the next restart boundary with ctx.Err(). For a fixed Seed
-// the outcome is identical whatever the parallelism: restart r always runs
-// from seed stats.RestartSeed(cfg.Seed, r), and restartSet.best breaks
-// ties in favor of the lowest restart index. It runs the same columnar
-// pipeline as a streamed window, on a batch converted from tr.
+// IdentifyContext is Identify with cancellation: the EM restarts run on
+// a pool of Parallelism slots (GOMAXPROCS when Parallelism is not
+// positive), the caller's goroutine plus one borrowing helper per free
+// slot (see runRestarts; each worker has its own reusable forward-backward
+// scratch), and a canceled context stops the pipeline at the next restart
+// boundary with ctx.Err(). For a fixed Seed the outcome is identical
+// whatever the parallelism: restart r always runs from seed
+// stats.RestartSeed(cfg.Seed, r), and restartSet.best breaks ties in
+// favor of the lowest restart index. It runs the same columnar pipeline
+// as a streamed window, on a batch converted from tr.
 func IdentifyContext(ctx context.Context, tr *trace.Trace, cfg IdentifyConfig) (*Identification, error) {
 	b, sc := gatherRows(tr.Observations)
 	defer pipelinePool.Put(sc)
-	return identifyBatchContext(ctx, b, cfg, false, sc)
+	slots := cfg.Parallelism
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	return identifyBatchContext(ctx, b, cfg, newSlotPool(slots, 1), nil, sc)
 }
 
 // restartFit is the outcome of one EM restart.
@@ -245,21 +253,28 @@ type restartSet []restartFit
 // fails the identification; otherwise the highest log-likelihood wins, and
 // the strict > keeps the lowest restart index on ties, so the winner does
 // not depend on how the restarts were scheduled. A set without a PMF (the
-// window has no losses) is ErrNoLosses.
+// window has no losses) is ErrNoLosses; a set whose PMFs all came with a
+// log-likelihood that cannot win (NaN, -Inf) is ErrNonFinite.
 func (s restartSet) best() (restartFit, error) {
 	win := restartFit{loglik: math.Inf(-1)}
+	fitted := false
 	for _, f := range s {
 		if f.err != nil {
 			return restartFit{}, f.err
 		}
+		fitted = fitted || f.pmf != nil
 		if f.loglik > win.loglik {
 			win = f
 		}
 	}
-	if win.pmf == nil {
+	switch {
+	case win.pmf != nil:
+		return win, nil
+	case fitted:
+		return restartFit{}, ErrNonFinite
+	default:
 		return restartFit{}, ErrNoLosses
 	}
-	return win, nil
 }
 
 // fitScratch carries one worker's reusable EM work buffers.
@@ -274,6 +289,10 @@ type fitScratch struct {
 // the models retain across calls (Scratch.lastObs) is their own copy, so
 // reuse cannot couple one fit to another.
 var fitPool = sync.Pool{New: func() any { return new(fitScratch) }}
+
+// fitFunc fits one EM restart; fitRestart is the only implementation
+// outside tests.
+type fitFunc func(ctx context.Context, obs []int, cfg *IdentifyConfig, r int, sc *fitScratch) restartFit
 
 // fitRestart runs restart r of the configured model on the worker's
 // scratch buffers. cancel (ctx.Done() of the identification) reaches the
@@ -326,68 +345,92 @@ func fitRestart(ctx context.Context, obs []int, cfg *IdentifyConfig, r int, sc *
 	return fit
 }
 
-// restartWorkers is the restart policy: how many workers fit the EM
-// restarts of one identification. A positive cfg.Parallelism is the
-// answer; otherwise GOMAXPROCS, except that Parallelism 0 runs the
-// restarts serially when other identifications already keep the pool busy
-// (a batch with at least as many jobs as workers, or a windower with
-// several window slots), since those already use the cores. There are
-// never more workers than restarts. cfg must have its defaults applied.
-func restartWorkers(cfg IdentifyConfig, busy bool) int {
-	workers := cfg.Parallelism
-	if workers == 0 && busy {
-		workers = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, cfg.Restarts)
-}
-
-// restartRun is the state the restart workers of one identification
-// share: each claims the next restart index until all are taken or ctx is
-// canceled.
+// restartRun is the state the workers of one identification's EM
+// restarts share: each claims the next restart index until all are taken
+// or ctx is canceled.
 type restartRun struct {
-	ctx  context.Context
-	obs  []int
-	cfg  IdentifyConfig
-	set  restartSet
-	next atomic.Int64
+	ctx    context.Context
+	obs    []int
+	cfg    IdentifyConfig
+	fit    fitFunc
+	pool   *slotPool
+	set    restartSet
+	next   atomic.Int64
+	active atomic.Int32 // the owner plus its live helpers
+	wg     sync.WaitGroup
 }
 
-// work is the one restart worker loop. Each worker reuses one set of
-// scratch buffers across the restarts it claims, so the steady-state fit
-// loop does not allocate.
-func (run *restartRun) work() {
+// step is one turn of the restart worker loop: claim the next restart and
+// fit it into the set on the worker's scratch. It reports false once every
+// restart is claimed or ctx is done. A panicking fit becomes that
+// restart's error, so best() fails the identification whichever goroutine
+// ran it; the worker then stops, and its scratch, which the panic may
+// have left half built, is replaced.
+func (run *restartRun) step(sc *fitScratch) (more bool) {
+	r := int(run.next.Add(1)) - 1
+	if r >= len(run.set) || run.ctx.Err() != nil {
+		return false
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			run.set[r] = restartFit{err: fmt.Errorf("core: identification panicked: %v", p)}
+			*sc = fitScratch{}
+			more = false
+		}
+	}()
+	run.set[r] = run.fit(run.ctx, run.obs, &run.cfg, r, sc)
+	return true
+}
+
+// help is a borrowing helper: it fits restarts on a slot borrowed from
+// the pool and hands the slot back at its first restart boundary at which
+// a window waits for one.
+func (run *restartRun) help() {
+	defer run.wg.Done()
+	defer run.pool.release()
+	defer run.active.Add(-1)
 	sc := fitPool.Get().(*fitScratch)
 	defer fitPool.Put(sc)
-	for {
-		r := int(run.next.Add(1)) - 1
-		if r >= len(run.set) || run.ctx.Err() != nil {
-			return
-		}
-		run.set[r] = fitRestart(run.ctx, run.obs, &run.cfg, r, sc)
+	for run.step(sc) && run.pool.waiters() == 0 {
 	}
 }
 
-// runRestarts fits all cfg.Restarts EM initializations on
-// restartWorkers(cfg, busy) workers. A single worker runs inline on the
-// caller's goroutine.
-func runRestarts(ctx context.Context, obs []int, cfg IdentifyConfig, busy bool) (restartSet, error) {
-	run := &restartRun{ctx: ctx, obs: obs, cfg: cfg, set: make(restartSet, cfg.Restarts)}
-	if workers := restartWorkers(cfg, busy); workers <= 1 {
-		run.work()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for range workers {
-			go func() {
-				defer wg.Done()
-				run.work()
-			}()
-		}
-		wg.Wait()
+// runRestarts fits all cfg.Restarts EM initializations with fit (nil means
+// fitRestart). The caller holds one slot of pool and fits restarts on its
+// own goroutine, the owner. At each of its restart boundaries the owner
+// starts one helper for every slot pool.tryAcquire grants, as long as the
+// owner and its helpers stay no more than the unclaimed restarts and a
+// positive cfg.Parallelism; each helper claims restarts from the same
+// counter and returns its slot once a window waits (help). Under a flood
+// every slot is held by a window, so the restarts run serially. Each
+// worker reuses one set of scratch buffers across the restarts it claims,
+// so the steady-state fit loop does not allocate, and the owner waits for
+// its helpers before returning. cfg must have its defaults applied.
+func runRestarts(ctx context.Context, obs []int, cfg IdentifyConfig, pool *slotPool, fit fitFunc) (restartSet, error) {
+	if fit == nil {
+		fit = fitRestart
 	}
+	run := &restartRun{ctx: ctx, obs: obs, cfg: cfg, fit: fit, pool: pool, set: make(restartSet, cfg.Restarts)}
+	limit := cfg.Restarts
+	if cfg.Parallelism > 0 {
+		limit = min(limit, cfg.Parallelism)
+	}
+	run.active.Store(1)
+	sc := fitPool.Get().(*fitScratch)
+	for {
+		// Helpers started here claim as they start, so the bound is on the
+		// restarts unclaimed when the boundary began.
+		for unclaimed := len(run.set) - int(run.next.Load()); int(run.active.Load()) < min(limit, unclaimed) && pool.tryAcquire(); {
+			run.active.Add(1)
+			run.wg.Add(1)
+			go run.help()
+		}
+		if !run.step(sc) {
+			break
+		}
+	}
+	fitPool.Put(sc)
+	run.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -275,39 +275,52 @@ func sameErr(a, b error) bool {
 // TestRowAPIMatchesReference holds every row entry point, now a wrapper
 // over the columnar pipeline, to the row-major reference on ordinary and
 // edge-case traces: every return value bit for bit (EM wall-clock time
-// aside), errors by message.
+// aside), errors by message. A case with err set departs from the
+// reference on purpose: the reference identifies a window with a
+// non-finite delivered delay, the pipeline refuses it.
 func TestRowAPIMatchesReference(t *testing.T) {
 	type tc struct {
 		name string
 		tr   *trace.Trace
 		cfg  IdentifyConfig
+		err  error // want this from IdentifyContext and NewDiscretization
 	}
 	// Three restarts keep the reduction over several fits while holding
 	// the test to about a second.
 	var cases []tc
 	for seed := int64(1); seed <= 6; seed++ {
-		cases = append(cases, tc{fmt.Sprintf("synth-%d", seed), synthTrace(1500, 0.020, 0.120, 0.25, seed), IdentifyConfig{Seed: seed, Restarts: 3}})
+		cases = append(cases, tc{fmt.Sprintf("synth-%d", seed), synthTrace(1500, 0.020, 0.120, 0.25, seed), IdentifyConfig{Seed: seed, Restarts: 3}, nil})
 	}
 	synth := synthTrace(1500, 0.020, 0.120, 0.25, 7)
-	nan := synthTrace(1500, 0.020, 0.120, 0.25, 8)
-	nan.Observations[10].Delay = math.NaN() // block 0 is loss-free: a delivered probe
+	// withDelay is the seed-8 trace with probe 10, delivered (block 0 is
+	// loss-free), given delay d.
+	withDelay := func(d float64) *trace.Trace {
+		tr := synthTrace(1500, 0.020, 0.120, 0.25, 8)
+		tr.Observations[10].Delay = d
+		return tr
+	}
 	cases = append(cases,
-		tc{"hmm", synth, IdentifyConfig{Model: HMM, Seed: 1, Restarts: 3}},
-		tc{"per-symbol-loss", synth, IdentifyConfig{PerSymbolLoss: true, Seed: 1, Restarts: 3}},
-		tc{"known-propagation", synth, IdentifyConfig{KnownPropagation: 0.015, Seed: 1, Restarts: 3}},
-		tc{"one-symbol", synth, IdentifyConfig{Symbols: 1, Seed: 1, Restarts: 3}},
-		tc{"empty", &trace.Trace{}, IdentifyConfig{}},
-		tc{"one-observation", &trace.Trace{Observations: obsSeq([]float64{0.03}, nil)}, IdentifyConfig{}},
-		tc{"all-lost", &trace.Trace{Observations: obsSeq([]float64{0, 0, 0}, []bool{true, true, true})}, IdentifyConfig{}},
-		tc{"unknown-model", synth, IdentifyConfig{Model: ModelKind(99)}},
-		tc{"no-losses", &trace.Trace{Observations: obsSeq([]float64{0.02, 0.03, 0.04, 0.05}, nil)}, IdentifyConfig{}},
-		tc{"nan-delay", nan, IdentifyConfig{Seed: 1, Restarts: 3}},
+		tc{"hmm", synth, IdentifyConfig{Model: HMM, Seed: 1, Restarts: 3}, nil},
+		tc{"per-symbol-loss", synth, IdentifyConfig{PerSymbolLoss: true, Seed: 1, Restarts: 3}, nil},
+		tc{"known-propagation", synth, IdentifyConfig{KnownPropagation: 0.015, Seed: 1, Restarts: 3}, nil},
+		tc{"one-symbol", synth, IdentifyConfig{Symbols: 1, Seed: 1, Restarts: 3}, nil},
+		tc{"empty", &trace.Trace{}, IdentifyConfig{}, nil},
+		tc{"one-observation", &trace.Trace{Observations: obsSeq([]float64{0.03}, nil)}, IdentifyConfig{}, nil},
+		tc{"all-lost", &trace.Trace{Observations: obsSeq([]float64{0, 0, 0}, []bool{true, true, true})}, IdentifyConfig{}, nil},
+		tc{"unknown-model", synth, IdentifyConfig{Model: ModelKind(99)}, nil},
+		tc{"no-losses", &trace.Trace{Observations: obsSeq([]float64{0.02, 0.03, 0.04, 0.05}, nil)}, IdentifyConfig{}, nil},
+		tc{"nan-delay", withDelay(math.NaN()), IdentifyConfig{Seed: 1, Restarts: 3}, ErrNonFinite},
+		tc{"inf-delay", withDelay(math.Inf(1)), IdentifyConfig{Seed: 1, Restarts: 3}, ErrNonFinite},
+		tc{"neg-inf-delay", withDelay(math.Inf(-1)), IdentifyConfig{Seed: 1, Restarts: 3}, ErrNonFinite},
 	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ctx := context.Background()
 			got, gotErr := IdentifyContext(ctx, c.tr, c.cfg)
 			want, wantErr := refIdentifyContext(ctx, c.tr, c.cfg)
+			if c.err != nil {
+				want, wantErr = nil, c.err
+			}
 			if got != nil && want != nil {
 				got.EMTime, want.EMTime = 0, 0
 			}
@@ -325,10 +338,14 @@ func TestRowAPIMatchesReference(t *testing.T) {
 			cfg.defaults()
 			gotDisc, gotErr := NewDiscretization(c.tr.Observations, cfg.Symbols, cfg.KnownPropagation)
 			wantDisc, wantErr := refNewDiscretization(c.tr.Observations, cfg.Symbols, cfg.KnownPropagation)
+			refDisc := wantDisc
+			if c.err != nil {
+				wantDisc, wantErr = Discretization{}, c.err
+			}
 			if !sameErr(gotErr, wantErr) || !sameBits(reflect.ValueOf(gotDisc), reflect.ValueOf(wantDisc)) {
 				t.Fatalf("NewDiscretization:\n got %+v, %v\nwant %+v, %v", gotDisc, gotErr, wantDisc, wantErr)
 			}
-			if gotEnc, wantEnc := wantDisc.Encode(c.tr.Observations), refEncode(wantDisc, c.tr.Observations); !sameBits(reflect.ValueOf(gotEnc), reflect.ValueOf(wantEnc)) {
+			if gotEnc, wantEnc := refDisc.Encode(c.tr.Observations), refEncode(refDisc, c.tr.Observations); !sameBits(reflect.ValueOf(gotEnc), reflect.ValueOf(wantEnc)) {
 				t.Fatalf("Encode:\n got %v\nwant %v", gotEnc, wantEnc)
 			}
 		})

@@ -228,17 +228,17 @@ func (w *Windower) Stream(ctx context.Context, src trace.ObservationSource, cfg 
 		return nil, err
 	}
 	workers := w.engine.Workers()
-	sem := w.engine.streamSlots()
+	pool := w.engine.streamPool()
 	out := make(chan WindowResult, workers)
 	// order carries one future per window so the emitter can restore
 	// window order whatever the identification finishing order; its bound
-	// (with the sem bound) also caps how far the producer runs ahead of a
+	// (with the pool's) also caps how far the producer runs ahead of a
 	// slow consumer.
 	order := make(chan chan WindowResult, 2*workers)
 
 	go func() { // producer: cut windows, dispatch identifications
 		defer close(order)
-		w.cutWindows(ctx, src, wcfg, cfg, order, sem)
+		w.cutWindows(ctx, src, wcfg, cfg, order, pool)
 	}()
 
 	go func() { // emitter: restore order, attach transitions
@@ -373,9 +373,9 @@ func readBatches(ctx context.Context, src trace.BatchSource) <-chan batchRead {
 }
 
 // cutWindows reads src to exhaustion, cutting complete windows out of the
-// chunk ring and dispatching each as a view to a bounded worker that
-// identifies it into its order slot.
-func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, wcfg WindowConfig, cfg IdentifyConfig, order chan chan WindowResult, sem chan struct{}) {
+// chunk ring and dispatching each as a view to a worker holding a slot of
+// pool that identifies it into its order slot.
+func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, wcfg WindowConfig, cfg IdentifyConfig, order chan chan WindowResult, pool *slotPool) {
 	var (
 		chunk     = getChunk()
 		chunkBase int // absolute index of chunk element 0
@@ -393,16 +393,14 @@ func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, 
 		// Acquire the worker slot before enqueueing the order slot: every
 		// slot the emitter sees is then guaranteed a worker to fill it, so
 		// an abort here can never strand the emitter on an empty future.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
+		if !pool.acquire(ctx) {
 			return false
 		}
 		slot := make(chan WindowResult, 1)
 		select {
 		case order <- slot:
 		case <-ctx.Done():
-			<-sem // release the unused worker slot (shared across streams)
+			pool.release() // the unused worker slot (shared across streams)
 			return false
 		}
 		view := chunk.batch.Slice(start-chunkBase, end-chunkBase)
@@ -420,7 +418,7 @@ func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, 
 		}
 		index++
 		go func() {
-			defer func() { <-sem }()
+			defer pool.release()
 			defer ch.release()
 			// Contain panics on the window path outside the engine (the
 			// gate, the admission callback): the window fails with
@@ -432,7 +430,7 @@ func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, 
 					slot <- res
 				}
 			}()
-			slot <- w.identifyWindow(ctx, res, view, cfg)
+			slot <- w.identifyWindow(ctx, res, view, cfg, pool)
 		}()
 		return true
 	}
@@ -547,10 +545,11 @@ func (w *Windower) cutWindows(ctx context.Context, src trace.ObservationSource, 
 
 // identifyWindow gates one window view on stationarity, consults admission
 // control, and identifies admitted windows through the engine (sharing its
-// panic isolation) under the configured per-window deadline. The window's
+// panic isolation) under the configured per-window deadline, the EM
+// restarts borrowing the slots of pool that no window holds. The window's
 // delays are gathered and sorted once into a pooled scratch shared by the
 // gate and the discretization.
-func (w *Windower) identifyWindow(ctx context.Context, res WindowResult, b *trace.Batch, cfg IdentifyConfig) WindowResult {
+func (w *Windower) identifyWindow(ctx context.Context, res WindowResult, b *trace.Batch, cfg IdentifyConfig, pool *slotPool) WindowResult {
 	sc := pipelinePool.Get().(*pipelineScratch)
 	defer pipelinePool.Put(sc)
 	sc.gather(b)
@@ -582,8 +581,7 @@ func (w *Windower) identifyWindow(ctx context.Context, res WindowResult, b *trac
 	if res.Trace != nil {
 		res.Trace.FitStartAt = start
 	}
-	// A pool of several window slots is busy with windows (restartWorkers).
-	res.ID, res.Err = w.engine.identify(ictx, b, cfg, w.engine.Workers() > 1, sc)
+	res.ID, res.Err = w.engine.identify(ictx, b, cfg, pool, sc)
 	res.Elapsed = time.Since(start)
 	// A deadline expiry of THIS window (and not a cancellation of the whole
 	// stream) surfaces as the typed window-deadline error.
