@@ -111,7 +111,7 @@ func main() {
 		storeDir    = flag.String("store-dir", "", "durable result store directory (empty = results are memory-only)")
 		fsync       = flag.String("fsync", "interval", "store fsync policy: always, interval or none")
 		fsyncEvery  = flag.Duration("fsync-every", 100*time.Millisecond, "flush period under -fsync interval")
-		retainBytes = flag.Int64("retain-bytes", 0, "per-path store size bound; oldest segments deleted beyond it (0 = unbounded)")
+		retainBytes = flag.Int64("retain-bytes", 0, "per-path store size bound; oldest segments deleted beyond it, always keeping the newest sealed one (0 = unbounded)")
 		retainAge   = flag.Duration("retain-age", 0, "drop store segments whose newest record is older than this (0 = unbounded)")
 
 		// Overload controls (all off by default; see DESIGN.md "Overload

@@ -1,24 +1,22 @@
-// Command dclstore inspects and maintains a dclserved result store
-// offline: the durable per-path archive of window results and DCL
-// transitions the daemon writes under -store-dir.
+// Command dclstore inspects a dclserved result store offline: the durable
+// per-path archive of window results and DCL transitions the daemon writes
+// under -store-dir.
 //
 // Usage:
 //
 //	dclstore -dir /var/lib/dcl ls
 //	dclstore -dir /var/lib/dcl cat <path> [-since N] [-transitions] [-limit N]
 //	dclstore -dir /var/lib/dcl verify [<path>]
-//	dclstore -dir /var/lib/dcl compact <path> [-segment-bytes N] [-retain-bytes N] [-retain-age D]
 //
 // ls lists every path with its segment/record counts, byte size, index
 // range, and time range. cat streams a path's records as JSON lines
 // (window results by default; -transitions selects the transition events
 // instead). verify re-reads every frame checking lengths and CRCs,
-// reporting any torn or corrupt region. compact applies retention and
-// merges adjacent small sealed segments.
+// reporting any torn or corrupt region. cat and verify fail on a path the
+// store does not hold.
 //
-// ls, cat and verify open the store read-only, so they are safe on a
-// store a live daemon is writing (cat/verify see the committed prefix);
-// compact takes the writer role and must not run against a live daemon.
+// Every command opens the store read-only, so it is safe on a store a
+// live daemon is writing (cat/verify see the committed prefix).
 package main
 
 import (
@@ -42,7 +40,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dclstore -dir DIR {ls | cat PATH | verify [PATH] | compact PATH} [options]\n")
+			"usage: dclstore -dir DIR {ls | cat PATH | verify [PATH]} [options]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,8 +57,6 @@ func main() {
 		err = runCat(*dir, args)
 	case "verify":
 		err = runVerify(*dir, args)
-	case "compact":
-		err = runCompact(*dir, args)
 	default:
 		log.Printf("unknown command %q", cmd)
 		flag.Usage()
@@ -71,9 +67,8 @@ func main() {
 	}
 }
 
-func openStore(dir string, opts store.Options) (*store.Store, error) {
-	opts.Dir = dir
-	return store.Open(opts)
+func openStore(dir string) (*store.Store, error) {
+	return store.Open(store.Options{Dir: dir, ReadOnly: true})
 }
 
 // pathFirst splits "PATH [flags]" argument lists: the documented forms
@@ -87,7 +82,7 @@ func pathFirst(args []string) (path string, rest []string) {
 }
 
 func runLs(dir string) error {
-	s, err := openStore(dir, store.Options{ReadOnly: true})
+	s, err := openStore(dir)
 	if err != nil {
 		return err
 	}
@@ -130,7 +125,7 @@ func runCat(dir string, args []string) error {
 	} else if path == "" || fs.NArg() != 0 {
 		return fmt.Errorf("cat: exactly one path argument required")
 	}
-	s, err := openStore(dir, store.Options{ReadOnly: true})
+	s, err := openStore(dir)
 	if err != nil {
 		return err
 	}
@@ -159,7 +154,7 @@ func runCat(dir string, args []string) error {
 }
 
 func runVerify(dir string, args []string) error {
-	s, err := openStore(dir, store.Options{ReadOnly: true})
+	s, err := openStore(dir)
 	if err != nil {
 		return err
 	}
@@ -179,7 +174,7 @@ func runVerify(dir string, args []string) error {
 			continue
 		}
 		// Tails torn by a crash surface at open; Verify re-checks every
-		// frame CRC behind the manifest too.
+		// frame CRC of the sealed segments too.
 		events := l.Recoveries()
 		if evs, err := l.Verify(); err != nil {
 			fmt.Printf("%s: verify: %v\n", id, err)
@@ -200,42 +195,7 @@ func runVerify(dir string, args []string) error {
 		}
 	}
 	if bad > 0 {
-		return fmt.Errorf("%d path(s) with damage (a writable reopen truncates torn tails)", bad)
+		return fmt.Errorf("%d path(s) missing or damaged (a writable reopen truncates torn tails)", bad)
 	}
-	return nil
-}
-
-func runCompact(dir string, args []string) error {
-	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	segBytes := fs.Int64("segment-bytes", 0, "merge target segment size (0 = the store default, 1 MiB)")
-	retainBytes := fs.Int64("retain-bytes", 0, "apply this size retention bound first (0 = none)")
-	retainAge := fs.Duration("retain-age", 0, "apply this age retention bound first (0 = none)")
-	path, rest := pathFirst(args)
-	fs.Parse(rest)
-	if path == "" && fs.NArg() == 1 {
-		path = fs.Arg(0)
-	} else if path == "" || fs.NArg() != 0 {
-		return fmt.Errorf("compact: exactly one path argument required")
-	}
-	s, err := openStore(dir, store.Options{
-		SegmentBytes: *segBytes,
-		RetainBytes:  *retainBytes,
-		RetainAge:    *retainAge,
-	})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	l, err := s.Log(path)
-	if err != nil {
-		return err
-	}
-	before := l.Stats()
-	if err := l.Compact(); err != nil {
-		return err
-	}
-	after := l.Stats()
-	fmt.Printf("%s: %d segments / %d bytes -> %d segments / %d bytes\n",
-		after.Path, before.Segments, before.Bytes, after.Segments, after.Bytes)
 	return nil
 }

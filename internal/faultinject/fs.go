@@ -40,11 +40,10 @@ type FSConfig struct {
 // FS wraps a store.FS with deterministic disk-fault schedules and
 // runtime fault toggles. It satisfies store.FS; hand it to
 // store.Options.FS. Only writes through open files (the WAL append
-// path) consult the write schedule; metadata operations — WriteFile
-// (manifest sidecars), Mkdir, ReadDir, Stat, Remove, Rename — pass
-// through unfaulted, so schedules count exactly the segment writes a
-// test reasons about. The runtime toggles (BreakWrites) do cover
-// WriteFile: a full disk refuses the manifest too.
+// path) consult the write schedule and the runtime toggles; metadata
+// operations — MkdirAll, ReadDir, Stat, Remove, Truncate — pass through
+// unfaulted, so schedules count exactly the segment writes a test
+// reasons about.
 type FS struct {
 	cfg   FSConfig
 	inner store.FS
@@ -167,24 +166,10 @@ func (f *FS) Open(name string) (store.File, error) {
 
 func (f *FS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 
-func (f *FS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	f.mu.Lock()
-	down, derr := f.writesDown, f.writeErr
-	f.mu.Unlock()
-	if down {
-		if derr == nil {
-			derr = f.cfg.Err
-		}
-		return &os.PathError{Op: "write", Path: name, Err: derr}
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
 func (f *FS) MkdirAll(path string, perm os.FileMode) error { return f.inner.MkdirAll(path, perm) }
 func (f *FS) ReadDir(name string) ([]os.DirEntry, error)   { return f.inner.ReadDir(name) }
 func (f *FS) Stat(name string) (os.FileInfo, error)        { return f.inner.Stat(name) }
 func (f *FS) Remove(name string) error                     { return f.inner.Remove(name) }
-func (f *FS) Rename(oldpath, newpath string) error         { return f.inner.Rename(oldpath, newpath) }
 func (f *FS) Truncate(name string, size int64) error       { return f.inner.Truncate(name, size) }
 
 // faultFile intercepts the data-path operations of one open file.

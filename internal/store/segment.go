@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Segment file layout: an 8-byte magic header followed by frames, each
@@ -130,10 +131,49 @@ func checkMagic(b []byte) error {
 	return nil
 }
 
+// checkSegment scans a raw segment file. It returns the summary of the
+// intact records, the length of the intact prefix including the magic
+// header, and the torn tail past that prefix, if any.
+func checkSegment(name string, raw []byte) (sc segScan, size int64, torn *RecoveryEvent) {
+	if checkMagic(raw) != nil {
+		// An unrecognizable segment is all tail: keep nothing of it.
+		return sc, 0, &RecoveryEvent{Segment: name, DroppedBytes: int64(len(raw)), Reason: "bad segment magic"}
+	}
+	sc, _ = scanBody(segBody(raw), nil)
+	if len(raw) > 0 {
+		size = int64(len(segMagic)) + sc.validLen
+	}
+	if sc.torn {
+		torn = &RecoveryEvent{Segment: name, ValidBytes: size, DroppedBytes: int64(len(raw)) - size, Reason: sc.reason}
+	}
+	return sc, size, torn
+}
+
 // segBody returns the frame region of a raw segment file.
 func segBody(b []byte) []byte {
 	if len(b) < len(segMagic) {
 		return nil
 	}
 	return b[len(segMagic):]
+}
+
+// firstIndex reads a segment's magic header and first frame through r and
+// returns that record's window index. ok is false when the file is shorter
+// than that or the frame fails any check of scanBody.
+func firstIndex(r io.ReaderAt) (idx int64, ok bool) {
+	head := len(segMagic) + frameHeader
+	buf := make([]byte, head)
+	if got, _ := r.ReadAt(buf, 0); got < head || checkMagic(buf) != nil {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(buf[len(segMagic):])
+	if n == 0 || n > maxRecordBytes {
+		return 0, false
+	}
+	buf = append(buf, make([]byte, n)...)
+	if got, _ := r.ReadAt(buf[head:], int64(head)); got < int(n) {
+		return 0, false
+	}
+	sc, _ := scanBody(segBody(buf), nil)
+	return sc.first, sc.records == 1
 }

@@ -79,13 +79,17 @@ type Options struct {
 	// FsyncEvery is the FsyncInterval flush period; default 100ms.
 	FsyncEvery time.Duration
 	// SegmentBytes is the roll threshold of the active segment; default
-	// 1 MiB. Also the target size Compact merges small segments up to.
+	// 1 MiB.
 	SegmentBytes int64
 	// RetainBytes bounds one path's log size; when exceeded at a segment
-	// roll, sealed segments are deleted oldest-first. 0 = unbounded.
+	// roll, sealed segments are deleted oldest-first. The newest sealed
+	// segment is always kept (it holds the window counter a reopen
+	// resumes from), so a bound below one segment still keeps it and
+	// the active segment. 0 = unbounded.
 	RetainBytes int64
 	// RetainAge drops sealed segments whose newest record is older than
-	// this at a segment roll. 0 = unbounded.
+	// this at a segment roll, except the newest sealed segment. 0 =
+	// unbounded.
 	RetainAge time.Duration
 	// ReadOnly opens the store for inspection only: no recovery
 	// truncation, no appends — what cmd/dclstore uses on a live store.
@@ -107,9 +111,9 @@ type Options struct {
 	// Now overrides the wall clock (tests); defaults to time.Now.
 	Now func() time.Time
 	// Logger receives the store's structured events — crash recoveries,
-	// fsync failures, segment rolls, retention drops, compactions (see the
-	// obs.EventStore* names). Nil discards them. Every emission site is a
-	// cold path; the append fast path never logs.
+	// fsync failures, degraded-mode transitions, segment rolls, retention
+	// drops (see the obs.EventStore* names). Nil discards them. Every
+	// emission site is a cold path; the append fast path never logs.
 	Logger *slog.Logger
 }
 
@@ -141,7 +145,7 @@ func (o *Options) withDefaults() Options {
 
 // Metrics are the store's monotonic counters, published by the monitor's
 // /metrics endpoint. Segments tracks the current segment-file count
-// across open logs (up on create, down on retention/compaction);
+// across open logs (up on create, down on retention);
 // RecordsPending is the live gauge of records buffered in memory by
 // degraded logs; everything else only goes up. The degraded-mode
 // accounting invariant — every produced record is durably appended,
@@ -217,7 +221,9 @@ func (s *Store) Metrics() *Metrics { return &s.metrics }
 func (s *Store) Options() Options { return s.opts }
 
 // Log returns the result log of one path, opening (and recovering) it on
-// first use. The same *Log is returned for the same id until Close.
+// first use. The same *Log is returned for the same id until Close. A
+// writable store creates the path's directory; a read-only one returns
+// an error wrapping os.ErrNotExist when the path has none.
 func (s *Store) Log(id string) (*Log, error) {
 	if id == "" {
 		return nil, errors.New("store: empty path id")
@@ -267,8 +273,8 @@ func (s *Store) SyncAll() error {
 	return firstErr
 }
 
-// Close stops the flusher and closes every open log (final fsync +
-// manifest rewrite). The store is unusable afterwards.
+// Close stops the flusher and closes every open log (final fsync). The
+// store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -214,8 +215,8 @@ func lastSegment(t *testing.T, storeDir, id string) string {
 	return filepath.Join(dir, names[len(names)-1])
 }
 
-// TestRecoveryTruncatedTail kills the writer (no Close, so no final sync
-// or manifest) and rips bytes off the active segment, simulating a crash
+// TestRecoveryTruncatedTail kills the writer (no Close, so no final sync)
+// and rips bytes off the active segment, simulating a crash
 // mid-append: reopening must keep every whole record, report exactly one
 // truncation event, and resume the counter from the surviving records.
 func TestRecoveryTruncatedTail(t *testing.T) {
@@ -228,7 +229,7 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Abandon the store without Close — the manifest on disk is stale.
+	// Abandon the store without Close.
 	seg := lastSegment(t, dir, "p")
 	fi, err := os.Stat(seg)
 	if err != nil {
@@ -317,16 +318,18 @@ func TestRecoveryBitFlip(t *testing.T) {
 	}
 }
 
-func TestSegmentRollAndManifest(t *testing.T) {
+func TestSegmentRollAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, func(o *Options) { o.SegmentBytes = 2048 })
 	l, _ := s.Log("p")
 	const n = 100
+	want := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		rec := testRecord(i)
 		if err := l.Append(&rec); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, rec)
 	}
 	st := l.Stats()
 	if st.Segments < 3 {
@@ -344,17 +347,24 @@ func TestSegmentRollAndManifest(t *testing.T) {
 	}
 	s.Close()
 
-	// Reopen trusts the manifest for sealed segments and still sees all.
-	s2 := openTestStore(t, dir, func(o *Options) { o.SegmentBytes = 2048 })
+	// Reopen with a different roll size: open reads each sealed segment's
+	// first frame only, yet a full scan returns every record unchanged.
+	s2 := openTestStore(t, dir, func(o *Options) { o.SegmentBytes = 8 * 1024 })
 	l2, err := s2.Log("p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, l2, 0); len(got) != n {
-		t.Fatalf("scan after manifest reopen: %d records", len(got))
+	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan after reopen: got %d records, want %d", len(got), len(want))
+	}
+	if got := collect(t, l2, 60); len(got) != 40 || got[0].Window.Window != 60 {
+		t.Fatalf("since=60 after reopen: %d records", len(got))
 	}
 	if l2.NextIndex() != n {
 		t.Fatalf("NextIndex after reopen = %d", l2.NextIndex())
+	}
+	if evs, err := l2.Verify(); err != nil || len(evs) != 0 {
+		t.Fatalf("Verify after reopen: %v, %v", evs, err)
 	}
 }
 
@@ -427,57 +437,6 @@ func TestRetentionByAge(t *testing.T) {
 	}
 	if got := collect(t, l, 0); got[len(got)-1].Window.Window != 119 {
 		t.Fatal("age retention lost the newest records")
-	}
-}
-
-func TestCompactMergesSmallSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir, func(o *Options) { o.SegmentBytes = 1024 })
-	l, _ := s.Log("p")
-	const n = 120
-	want := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec := testRecord(i)
-		if err := l.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec)
-	}
-	s.Close()
-
-	// Reopen with a larger roll target: the many 1KiB segments merge.
-	s2 := openTestStore(t, dir, func(o *Options) { o.SegmentBytes = 8 * 1024 })
-	l2, err := s2.Log("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := l2.Stats().Segments
-	if before < 4 {
-		t.Fatalf("setup produced only %d segments", before)
-	}
-	if err := l2.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := l2.Stats().Segments
-	if after >= before {
-		t.Fatalf("compaction did not reduce segments: %d -> %d", before, after)
-	}
-	got := collect(t, l2, 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("compaction changed records: got %d, want %d", len(got), len(want))
-	}
-	if evs, err := l2.Verify(); err != nil || len(evs) != 0 {
-		t.Fatalf("Verify after compact: %v, %v", evs, err)
-	}
-	// And survives a reopen (manifest rewritten to the merged layout).
-	s2.Close()
-	s3 := openTestStore(t, dir, nil)
-	l3, err := s3.Log("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, l3, 0); len(got) != n {
-		t.Fatalf("scan after compact+reopen: %d records", len(got))
 	}
 }
 
@@ -612,8 +571,13 @@ func TestReadOnlyStore(t *testing.T) {
 	if err := rl.Append(&rec); err != ErrReadOnly {
 		t.Fatalf("read-only Append = %v, want ErrReadOnly", err)
 	}
-	if err := rl.Compact(); err != ErrReadOnly {
-		t.Fatalf("read-only Compact = %v, want ErrReadOnly", err)
+	// A path the store does not hold is an error, and no directory for it
+	// appears.
+	if _, err := ro.Log("no-such-path"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read-only Log of a missing path = %v, want os.ErrNotExist", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "no-such-path")); !os.IsNotExist(err) {
+		t.Fatalf("read-only Log created a directory: %v", err)
 	}
 }
 
