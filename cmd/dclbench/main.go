@@ -13,7 +13,8 @@
 // prints the regressions and exits 1 (the CI contract). Every run also
 // self-gates observability overhead: the logging-on monitor specs
 // ("monitor/s4-obs") must stay within bench.ObsOverheadTolerance (5%) of
-// their bare twins from the same run.
+// their bare twins. The twins run in bench.TwinRounds alternating rounds
+// within the run and the gate compares their medians.
 //
 // Regenerate the published numbers with:
 //
@@ -92,7 +93,8 @@ func main() {
 	}
 	// Observability overhead is gated within this run: logging-on monitor
 	// specs ("monitor/s4-obs") must stay within bench.ObsOverheadTolerance
-	// of their bare twins. Same-run pairing, so no baseline file is needed.
+	// of their bare twins, median against median over alternating rounds.
+	// Same-run pairing, so no baseline file is needed.
 	if regs := bench.CompareObsOverhead(rep); len(regs) > 0 {
 		for _, reg := range regs {
 			log.Printf("REGRESSION %s", reg)

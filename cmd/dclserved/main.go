@@ -85,7 +85,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8844", "listen address")
 		workers  = flag.Int("workers", 0, "cores of EM, across all paths: shared window slots, idle ones lent to a window's restarts (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 4096, "per-session ingestion queue capacity (observations)")
+		queue    = flag.Int("queue", 4096, "per-session ingestion queue bound, in observations (memory follows the backlog)")
 		results  = flag.Int("results", 512, "retained window results per session")
 		sessions = flag.Int("max-sessions", 1024, "live session cap")
 		window   = flag.String("window", "3000", "default window: probe count or duration (e.g. 3000, 60s)")

@@ -135,3 +135,60 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
+
+// TestRunTwinsAlternatesAndTakesMedians: a twin pair runs in TwinRounds
+// rounds with the first side alternating, and each side reports its
+// median round, so one slow round on either side does not move the gate.
+func TestRunTwinsAlternatesAndTakesMedians(t *testing.T) {
+	bare, withObs := Spec{Name: "monitor/x"}, Spec{Name: "monitor/x-obs"}
+	// Just under half the rounds of each side are slow: the bare side's
+	// first ones, the obs side's last ones.
+	slow := TwinRounds/2 - 1
+	var order []string
+	run := func(_ context.Context, s Spec) Result {
+		i := 0
+		for _, name := range order {
+			if name == s.Name {
+				i++
+			}
+		}
+		order = append(order, s.Name)
+		fits := 100.0
+		switch {
+		case s.Name == bare.Name && i < slow:
+			fits = 40
+		case s.Name == withObs.Name && i >= TwinRounds-slow:
+			fits = 30
+		case s.Name == withObs.Name:
+			fits = 96
+		}
+		return Result{Name: s.Name, FitsPerSec: fits}
+	}
+	a, b := runTwins(context.Background(), bare, withObs, run)
+	if len(order) != 2*TwinRounds {
+		t.Fatalf("%d runs, want %d", len(order), 2*TwinRounds)
+	}
+	for i := 0; i < len(order); i += 2 {
+		first := bare.Name
+		if (i/2)%2 == 1 {
+			first = withObs.Name
+		}
+		if order[i] != first {
+			t.Fatalf("round %d ran %s first, want %s (order %v)", i/2, order[i], first, order)
+		}
+	}
+	if a.FitsPerSec != 100 || b.FitsPerSec != 96 {
+		t.Fatalf("medians = %.0f and %.0f fits/sec, want 100 and 96", a.FitsPerSec, b.FitsPerSec)
+	}
+	if regs := CompareObsOverhead(&Report{Results: []Result{a, b}}); len(regs) != 0 {
+		t.Fatalf("a 4%% median overhead was flagged: %v", regs)
+	}
+
+	specs := []Spec{bare, {Name: "store/y"}, withObs}
+	if twin, ok := obsTwin(specs, withObs); !ok || twin.Name != bare.Name {
+		t.Fatalf("obsTwin(%s) = %v, %v", withObs.Name, twin, ok)
+	}
+	if _, ok := obsTwin(specs, specs[1]); ok {
+		t.Fatal("store/y has no twin")
+	}
+}

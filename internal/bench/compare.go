@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // AllocTolerance is how much allocs/op may grow over the baseline before
@@ -80,11 +81,15 @@ func Compare(baseline, current *Report, tolerance float64) []Regression {
 // pre-observability baseline.)
 const ObsOverheadTolerance = 0.05
 
+// obsSuffix names the logging-on twin of a spec: "<base>-obs".
+const obsSuffix = "-obs"
+
 // CompareObsOverhead gates observability overhead within one report:
 // every result named "<base>-obs" is paired with the result named
 // "<base>" from the same run, and flagged if its fits/sec fell below
 // (1 - ObsOverheadTolerance) of the bare twin. Pairs with a missing or
-// failed side are skipped — same-run pairing, so machine noise cancels.
+// failed side are skipped. RunAll measures the twins in alternating
+// rounds and reports each side's median, so machine noise cancels.
 func CompareObsOverhead(rep *Report) []Regression {
 	byName := make(map[string]Result, len(rep.Results))
 	for _, r := range rep.Results {
@@ -95,11 +100,11 @@ func CompareObsOverhead(rep *Report) []Regression {
 	var regs []Regression
 	floor := 1 - ObsOverheadTolerance
 	for _, cur := range rep.Results {
-		const suffix = "-obs"
-		if cur.Err != "" || len(cur.Name) <= len(suffix) || cur.Name[len(cur.Name)-len(suffix):] != suffix {
+		base, isObs := strings.CutSuffix(cur.Name, obsSuffix)
+		if cur.Err != "" || !isObs || base == "" {
 			continue
 		}
-		bare, ok := byName[cur.Name[:len(cur.Name)-len(suffix)]]
+		bare, ok := byName[base]
 		if !ok || bare.FitsPerSec <= 0 {
 			continue
 		}

@@ -94,6 +94,26 @@ func TestDecodeBatchAllocBytes(t *testing.T) {
 		if csv && per >= 16<<10 {
 			t.Fatalf("a 100-row CSV decode allocated %d B, want < 16 KiB", per)
 		}
+
+		// Decode, then hand the batch back as the session queue's consumer
+		// does: the rows, the batch and the read buffers are all reused.
+		for i := range reqs {
+			reqs[i] = ingestRequest(csv, body)
+		}
+		runtime.ReadMemStats(&before)
+		for _, req := range reqs[:runs] {
+			b, err := decodeBatch(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace.PutBatch(b)
+		}
+		runtime.ReadMemStats(&after)
+		per = (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("csv=%v: %d B per decode and hand-back", csv, per)
+		if limit := map[bool]uint64{true: 4 << 10, false: 2 << 10}[csv]; per >= limit {
+			t.Fatalf("csv=%v: a 100-row decode and hand-back allocated %d B, want < %d B", csv, per, limit)
+		}
 	}
 }
 
@@ -114,5 +134,25 @@ func TestDecodeBatchReusedBuffers(t *testing.T) {
 		if got := b.Observations(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("csv=%v: short body after a long one decoded to\n%v\nwant\n%v", csv, got, want)
 		}
+	}
+
+	// json.Unmarshal reuses the elements of a pooled row slice: a key the
+	// second body omits must not keep the first body's value.
+	lost := make([]trace.Observation, 20)
+	for i := range lost {
+		lost[i] = trace.Observation{Seq: int64(i), SendTime: float64(i) * 0.02, Lost: true}
+	}
+	if b, err := decodeBatch(ingestRequest(false, ingestBody(false, lost))); err != nil || b.LossCount() != 20 {
+		t.Fatalf("all-lost body decoded to %v, %v", b, err)
+	} else {
+		trace.PutBatch(b)
+	}
+	b, err := decodeBatch(ingestRequest(false, `[{"seq":7,"send_time":0.14,"delay":0.02},{"seq":8,"send_time":0.16,"delay":0.03}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Observation{{Seq: 7, SendTime: 0.14, Delay: 0.02}, {Seq: 8, SendTime: 0.16, Delay: 0.03}}
+	if got := b.Observations(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows omitting \"lost\" after an all-lost body decoded to\n%v\nwant delivered\n%v", got, want)
 	}
 }

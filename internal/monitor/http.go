@@ -452,19 +452,24 @@ func (m *Monitor) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (m *Monitor) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s, _, err := m.Open(id, nil) // auto-create with the default window shape
-	if err != nil {
-		status, code := errStatus(err)
-		writeError(w, status, code, "%v", err)
-		return
-	}
+	// Decode first, so a rejected body creates no session.
 	batch, err := decodeBatch(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
+	s, _, err := m.Open(id, nil) // auto-create with the default window shape
+	if err != nil {
+		trace.PutBatch(batch)
+		status, code := errStatus(err)
+		writeError(w, status, code, "%v", err)
+		return
+	}
 	offered := batch.Len()
 	accepted, err := s.OfferBatch(batch)
+	if accepted == 0 {
+		trace.PutBatch(batch) // none of it was queued
+	}
 	var rl *RateLimitedError
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.As(err, &rl):
@@ -492,22 +497,30 @@ func (m *Monitor) handleIngest(w http.ResponseWriter, r *http.Request) {
 // Ingest decode buffers, reused across POSTs: a CSV body is read through
 // a pooled reader of the size trace.StreamCSV asks for (so it uses the
 // reader as is instead of allocating one per request), and a JSON body
-// is read into a pooled buffer. A buffer that grew past maxPooledBody
-// for an unusually large POST is left to the GC rather than kept.
-const maxPooledBody = 64 << 10
+// is read into a pooled buffer and unmarshalled into pooled rows. Either
+// decodes into a batch from trace.GetBatch, which the session queue's
+// consumer hands back. A buffer that grew past maxPooledBody, or rows
+// past maxPooledRows, for an unusually large POST are left to the GC
+// rather than kept.
+const (
+	maxPooledBody = 64 << 10
+	maxPooledRows = 4096
+)
 
 var (
 	csvReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 	jsonBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	jsonRows   = sync.Pool{New: func() any { return new([]obsJSON) }}
 )
 
 // decodeBatch reads one ingestion body into a columnar batch: CSV in the
 // trace format when the Content-Type says so, else a JSON array of
 // observations (bare or under an "observations" key). The batch goes
 // straight from the wire decode to the session queue — no intermediate
-// row-major slice.
+// row-major slice survives the call.
 func decodeBatch(r *http.Request) (*trace.Batch, error) {
 	body := http.MaxBytesReader(nil, r.Body, maxIngestBody)
+	batch := trace.GetBatch()
 	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "csv") {
 		br := csvReaders.Get().(*bufio.Reader)
 		br.Reset(body)
@@ -516,17 +529,26 @@ func decodeBatch(r *http.Request) (*trace.Batch, error) {
 			csvReaders.Put(br)
 		}()
 		src := trace.StreamCSV(br)
-		batch := trace.NewBatch(0)
 		for {
 			_, err := src.NextBatch(batch, 0)
 			if err == io.EOF {
 				return batch, nil
 			}
 			if err != nil {
+				trace.PutBatch(batch)
 				return nil, err
 			}
 		}
 	}
+	if err := decodeJSONRows(body, batch); err != nil {
+		trace.PutBatch(batch)
+		return nil, err
+	}
+	return batch, nil
+}
+
+// decodeJSONRows appends the observations of a JSON ingest body to batch.
+func decodeJSONRows(body io.Reader, batch *trace.Batch) error {
 	buf := jsonBodies.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer func() {
@@ -535,25 +557,34 @@ func decodeBatch(r *http.Request) (*trace.Batch, error) {
 		}
 	}()
 	if _, err := buf.ReadFrom(body); err != nil {
-		return nil, fmt.Errorf("reading body: %v", err)
+		return fmt.Errorf("reading body: %v", err)
 	}
+	pooled := jsonRows.Get().(*[]obsJSON)
+	// json.Unmarshal reuses the elements of a slice's capacity without
+	// zeroing them, so a key a POST omits would keep the last POST's value.
+	rows := *pooled
+	clear(rows[:cap(rows)])
+	rows = rows[:0]
+	defer func() {
+		if cap(rows) <= maxPooledRows {
+			*pooled = rows
+			jsonRows.Put(pooled)
+		}
+	}()
 	raw := bytes.TrimSpace(buf.Bytes())
-	var rows []obsJSON
 	if len(raw) > 0 && raw[0] == '{' {
-		var wrapped struct {
-			Observations []obsJSON `json:"observations"`
-		}
+		wrapped := struct {
+			Observations *[]obsJSON `json:"observations"`
+		}{&rows}
 		if err := json.Unmarshal(raw, &wrapped); err != nil {
-			return nil, fmt.Errorf("observations: %v", err)
+			return fmt.Errorf("observations: %v", err)
 		}
-		rows = wrapped.Observations
 	} else if err := json.Unmarshal(raw, &rows); err != nil {
-		return nil, fmt.Errorf("observations: %v", err)
+		return fmt.Errorf("observations: %v", err)
 	}
-	batch := trace.NewBatch(len(rows))
 	for i, row := range rows {
 		if !row.Lost && row.Delay < 0 {
-			return nil, fmt.Errorf("observation %d: negative delay %v on a delivered probe", i, row.Delay)
+			return fmt.Errorf("observation %d: negative delay %v on a delivered probe", i, row.Delay)
 		}
 		o := trace.Observation{Seq: row.Seq, SendTime: row.SendTime, Lost: row.Lost}
 		if !row.Lost {
@@ -561,7 +592,7 @@ func decodeBatch(r *http.Request) (*trace.Batch, error) {
 		}
 		batch.Append(o)
 	}
-	return batch, nil
+	return nil
 }
 
 func (m *Monitor) handleResults(w http.ResponseWriter, r *http.Request) {

@@ -38,8 +38,10 @@ type Config struct {
 	// Workers is the shared identification pool size (0 = GOMAXPROCS).
 	// This bounds concurrent EM fits across ALL sessions.
 	Workers int
-	// QueueSize is each session's ingestion queue capacity in
-	// observations (default 4096); a full queue is the 429 signal.
+	// QueueSize bounds each session's ingestion queue, counted in
+	// observations (default 4096); a full queue is the 429 signal. The
+	// queue holds only the batches actually queued, so its memory follows
+	// the backlog, not this bound.
 	QueueSize int
 	// MaxResults bounds each session's retained window-result history
 	// (default 512); older windows fall off the front.

@@ -83,10 +83,9 @@ func TestOfferDropOldest(t *testing.T) {
 	if st.Ingested-st.Evicted != uint64(st.QueueLen) {
 		t.Fatal("accounting leak: ingested - evicted != queued")
 	}
-	// The queue holds only the newest batch. (Receiving directly stands in
+	// The queue holds only the newest batch. (Popping directly stands in
 	// for the pipeline, which also decrements the queued count.)
-	b := <-s.queue
-	s.queued.Add(-int64(b.Len()))
+	b := s.queue.tryPop()
 	if b.Len() != 3 || b.Seq(0) != 0 {
 		t.Fatalf("surviving batch = %d obs starting at seq %d, want the 3-probe overflow batch", b.Len(), b.Seq(0))
 	}
@@ -96,7 +95,7 @@ func TestOfferDropOldest(t *testing.T) {
 	if accepted, err := s.Offer(healthyObs(6)); accepted != 6 || err != nil {
 		t.Fatalf("oversized Offer = (%d, %v), want (6, nil) under drop-oldest", accepted, err)
 	}
-	if b := <-s.queue; b.Len() != 4 || b.Seq(0) != 2 {
+	if b := s.queue.tryPop(); b.Len() != 4 || b.Seq(0) != 2 {
 		t.Fatalf("oversized survivor = %d obs starting at seq %d, want 4 obs from seq 2", b.Len(), b.Seq(0))
 	}
 }

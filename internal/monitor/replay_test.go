@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -405,4 +406,48 @@ func TestReplayConcurrentWriter(t *testing.T) {
 		t.Fatalf("only %d segments: the log never rolled under the replays", segs)
 	}
 	t.Logf("%d replays during the writes", replays)
+}
+
+// TestEachResultAllocBytes bounds the bytes a replay of a disk-only path
+// allocates per record: the decoded record's own PMF and strings, and no
+// per-record copy on the heap or segment-sized read buffer. The bound is
+// the same whatever the segment size.
+func TestEachResultAllocBytes(t *testing.T) {
+	const records, runs = 3000, 5
+	for _, segBytes := range []int64{4 << 10, 1 << 20} {
+		st, err := store.Open(store.Options{Dir: t.TempDir(), SegmentBytes: segBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedLog(t, st, "disk", records, nil)
+		mon := New(Config{Store: st, Identify: e2eIdentify})
+		s, _, err := mon.Open("disk", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk := func() {
+			n := 0
+			err := s.eachResult(0, func(int) error { return nil }, func(*WindowJSON) error {
+				n++
+				return nil
+			})
+			if err != nil || n != records {
+				t.Fatalf("replay passed %d records, err %v; want %d", n, err, records)
+			}
+		}
+		walk() // warm the scan buffer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			walk()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / (runs * records)
+		t.Logf("SegmentBytes %d: %d B allocated per replayed record", segBytes, per)
+		if per > 128 {
+			t.Errorf("SegmentBytes %d: replay allocated %d B per record, want <= 128", segBytes, per)
+		}
+		mon.Close(context.Background())
+		st.Close()
+	}
 }

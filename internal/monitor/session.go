@@ -3,9 +3,7 @@ package monitor
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dominantlink/internal/core"
@@ -74,18 +72,17 @@ type Event struct {
 // streaming window pipeline on the monitor's shared engine. All methods
 // are safe for concurrent use.
 //
-// The queue carries columnar batches, not individual observations: one
-// HTTP ingest is one channel send however many probes it carries, and the
-// pipeline end drains whole batches per read. The capacity bound
-// (Config.QueueSize) is still counted in observations, tracked in queued;
-// every enqueued batch is non-empty and queued never exceeds QueueSize,
-// so at most QueueSize batches are in flight and a send can never block.
+// The queue is a FIFO of columnar batches, not individual observations:
+// one HTTP ingest is one push however many probes it carries, and the
+// pipeline end drains whole batches per read. It holds only the batches
+// actually queued, so a session costs one goroutine plus its window
+// buffer and its backlog; the capacity bound (Config.QueueSize) is
+// counted in observations.
 type Session struct {
 	id     string
 	mon    *Monitor
 	wcfg   core.WindowConfig
-	queue  chan *trace.Batch
-	queued atomic.Int64 // observations currently in queue
+	queue  *batchQueue
 	cancel context.CancelFunc
 	done   chan struct{}
 
@@ -137,7 +134,7 @@ func newSession(m *Monitor, id string, wcfg core.WindowConfig) *Session {
 		mon:   m,
 		wcfg:  wcfg,
 		rate:  newTokenBucket(m.cfg.SessionRate, m.cfg.SessionBurst, nil),
-		queue: make(chan *trace.Batch, m.cfg.QueueSize),
+		queue: newBatchQueue(),
 		done:  make(chan struct{}),
 		subs:  make(map[chan Event]bool),
 	}
@@ -155,92 +152,6 @@ func (s *Session) State() State {
 
 // Done is closed once the session's pipeline has fully finished.
 func (s *Session) Done() <-chan struct{} { return s.done }
-
-// queueSource adapts the ingestion queue into a trace.BatchSource.
-// NextBatch blocks until a batch arrives or the queue is closed — which is
-// exactly the shape the Windower's context-aware reader expects: the read
-// unblocks the moment the session drains — then opportunistically drains
-// whatever else is already queued, up to max. A batch leaves the queued
-// count the moment it is received; a batch too big for max parks in cur
-// and feeds later calls.
-type queueSource struct {
-	q      chan *trace.Batch
-	queued *atomic.Int64
-	cur    *trace.Batch // partially consumed batch, [i, Len) still pending
-	i      int
-}
-
-// recv accounts a received batch out of the queue.
-func (q *queueSource) recv(b *trace.Batch) { q.queued.Add(-int64(b.Len())) }
-
-func (q *queueSource) Next() (trace.Observation, error) {
-	for q.cur == nil || q.i >= q.cur.Len() {
-		b, ok := <-q.q
-		if !ok {
-			return trace.Observation{}, io.EOF
-		}
-		q.recv(b)
-		q.cur, q.i = b, 0
-	}
-	o := q.cur.At(q.i)
-	q.i++
-	return o, nil
-}
-
-func (q *queueSource) NextBatch(dst *trace.Batch, max int) (int, error) {
-	if max <= 0 {
-		max = 1 << 20
-	}
-	n := 0
-	if q.cur != nil && q.i < q.cur.Len() {
-		take := q.cur.Len() - q.i
-		if take > max {
-			take = max
-		}
-		dst.AppendBatch(q.cur.Slice(q.i, q.i+take))
-		q.i += take
-		n += take
-		if n >= max {
-			return n, nil
-		}
-	}
-	q.cur = nil
-	if n == 0 { // block only when nothing was appended yet
-		b, ok := <-q.q
-		if !ok {
-			return 0, io.EOF
-		}
-		q.recv(b)
-		if b.Len() > max {
-			dst.AppendBatch(b.Slice(0, max))
-			q.cur, q.i = b, max
-			return max, nil
-		}
-		dst.AppendBatch(b)
-		n += b.Len()
-	}
-	for n < max {
-		select {
-		case b, ok := <-q.q:
-			if !ok {
-				return n, nil // the terminal io.EOF comes from a later call
-			}
-			q.recv(b)
-			take := b.Len()
-			if n+take > max {
-				take = max - n
-				dst.AppendBatch(b.Slice(0, take))
-				q.cur, q.i = b, take
-			} else {
-				dst.AppendBatch(b)
-			}
-			n += take
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
-}
 
 // run is the session's supervisor loop (one goroutine per session; the
 // identification work itself runs on the monitor's shared pool). Each
@@ -334,7 +245,7 @@ func (s *Session) run(ctx context.Context) {
 // channel closes — by then every in-flight window of this incarnation
 // has been recorded, so the session's counters are quiescent.
 func (s *Session) runPipeline(ctx context.Context, attempt int) {
-	var src trace.ObservationSource = &queueSource{q: s.queue, queued: &s.queued}
+	var src trace.ObservationSource = &queueSource{q: s.queue}
 	if wrap := s.mon.cfg.SourceWrap; wrap != nil {
 		src = wrap(s.id, attempt, src)
 	}
@@ -366,7 +277,7 @@ func (s *Session) pendingLocked() int64 {
 func (s *Session) noteCrashLoss() {
 	s.mu.Lock()
 	resid := int64(s.ingested) - int64(s.evicted) - int64(s.probesWindowed) -
-		s.queued.Load() - int64(s.lost)
+		int64(s.queue.len()) - int64(s.lost)
 	if resid > 0 {
 		s.lost += uint64(resid)
 	}
@@ -384,7 +295,8 @@ func (s *Session) Offer(obs []trace.Observation) (int, error) {
 }
 
 // OfferBatch appends a columnar batch to the ingestion queue without
-// blocking, taking ownership of b (the caller must not touch it again).
+// blocking, taking ownership of b (the caller must not touch it again;
+// once the pipeline has copied it, b may be reused for a later ingest).
 // It returns how many observations were accepted. Admission runs in two
 // stages: the global and per-session rate limits grant a budget (a short
 // grant returns *RateLimitedError with a retry hint), then the granted
@@ -394,9 +306,9 @@ func (s *Session) Offer(obs []trace.Observation) (int, error) {
 // evicts the oldest queued observations (whole batches at a time) to make
 // room. Every observation is counted exactly once: accepted (ingested),
 // refused (dropped, with rate-limited refusals also in rate_limited), or
-// accepted-then-evicted (evicted). The whole admission is one lock
-// acquisition and at most one channel send per call, however many probes
-// the batch carries.
+// accepted-then-evicted (evicted). The whole admission is one session
+// lock acquisition and at most one queue push per call, however many
+// probes the batch carries.
 func (s *Session) OfferBatch(b *trace.Batch) (int, error) {
 	// Rejection events are emitted through this defer, which — being
 	// registered before the lock's — runs AFTER s.mu is released, keeping
@@ -438,27 +350,26 @@ func (s *Session) OfferBatch(b *trace.Batch) (int, error) {
 		rejRate = limited
 	}
 
-	// The queue bound is counted in observations (s.queued); Offer under
-	// s.mu is the only incrementer and the pipeline only decrements, so
-	// free is a safe lower bound on the actual room.
+	// The queue bound is counted in observations; Offer under s.mu is the
+	// only pusher and the pipeline only pops, so free is a safe lower
+	// bound on the actual room.
 	accepted, evicted := granted, 0
 	lo := 0 // enqueue b[lo:accepted]
 	var queueErr error
-	free := s.mon.cfg.QueueSize - int(s.queued.Load())
+	free := s.mon.cfg.QueueSize - s.queue.len()
 	if accepted > free {
 		switch s.mon.cfg.Shed {
 		case ShedDropOldest:
 			// Evict whole queued batches, oldest first, until the grant
-			// fits. The receive cannot block: under s.mu we are the only
-			// sender, and a racing consumer only makes more room.
+			// fits. Under s.mu we are the only pusher, and a racing
+			// consumer only makes more room.
 			for accepted > free {
-				select {
-				case old := <-s.queue:
-					s.queued.Add(-int64(old.Len()))
+				if old := s.queue.tryPop(); old != nil {
 					free += old.Len()
 					evicted += old.Len()
-				default: // queue empty; the batch alone exceeds capacity
-					free = s.mon.cfg.QueueSize - int(s.queued.Load())
+					trace.PutBatch(old)
+				} else { // queue empty; the batch alone exceeds capacity
+					free = s.mon.cfg.QueueSize - s.queue.len()
 					if accepted > free {
 						// Keep the newest `free` observations; the head is
 						// accepted-then-evicted, exactly as enqueueing one
@@ -494,8 +405,7 @@ func (s *Session) OfferBatch(b *trace.Batch) (int, error) {
 			// so an idle session is never flagged for old silence.
 			s.progressMark = time.Now()
 		}
-		s.queued.Add(int64(enq.Len()))
-		s.queue <- enq // cannot block: queued <= QueueSize and batches >= 1 obs
+		s.queue.push(enq)
 	}
 
 	s.ingested += uint64(accepted)
@@ -532,8 +442,8 @@ func (s *Session) Drain() {
 		return
 	}
 	s.setStateLocked(StateDraining)
-	close(s.queue)
-	queued := int(s.queued.Load())
+	s.queue.close()
+	queued := s.queue.len()
 	s.mu.Unlock()
 	s.mon.obs.SessionDrain(s.id, queued)
 }
@@ -815,6 +725,9 @@ func (s *Session) eachResult(since int, head func(next int) error, fn func(w *Wi
 		return err
 	}
 	if since < first && s.slog != nil {
+		// Each record is copied into w: passing &rec.Window would move
+		// every scanned Record to the heap.
+		var w WindowJSON
 		err := s.slog.Scan(int64(since), func(rec store.Record) error {
 			if rec.Kind != store.KindWindow {
 				return nil
@@ -822,7 +735,8 @@ func (s *Session) eachResult(since int, head func(next int) error, fn func(w *Wi
 			if rec.Window.Window >= first {
 				return store.ErrStop
 			}
-			return fn(&rec.Window)
+			w = rec.Window
+			return fn(&w)
 		})
 		if err != nil {
 			return err
@@ -851,7 +765,7 @@ func (s *Session) statusLocked() StatusJSON {
 		Dropped:          s.dropped,
 		Evicted:          s.evicted,
 		RateLimited:      s.rateLimited,
-		QueueLen:         int(s.queued.Load()),
+		QueueLen:         s.queue.len(),
 		QueueCap:         s.mon.cfg.QueueSize,
 		Windows:          s.windows,
 		Admitted:         s.admitted,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -370,5 +372,28 @@ func TestE2ERestartResume(t *testing.T) {
 	tail, _, _ := resultWindows(t, client, srv2.URL, "plab", preNext)
 	if len(tail) != len(all)-len(preCrash) || tail[0].Window != preNext {
 		t.Fatalf("since=%d after restart: %d windows starting at %d", preNext, len(tail), tail[0].Window)
+	}
+}
+
+// TestRejectedIngestCreatesNothing: a POST whose body does not decode
+// answers 400 and leaves no trace: no session, so the path is still
+// unknown, and no WAL directory.
+func TestRejectedIngestCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	mon := New(Config{StoreDir: dir, Identify: e2eIdentify})
+	defer mon.Close(context.Background())
+	srv := httptest.NewServer(mon.Handler())
+	defer srv.Close()
+	client := srv.Client()
+	for _, ct := range []string{"application/json", "text/csv"} {
+		if code, v := doJSON(t, client, "POST", srv.URL+"/v1/paths/typo/observations", ct, "{not json\n1,2\n"); code != http.StatusBadRequest {
+			t.Fatalf("%s: malformed POST = %d %v, want 400", ct, code, v)
+		}
+		if code, v := doJSON(t, client, "GET", srv.URL+"/v1/paths/typo", "", ""); code != http.StatusNotFound {
+			t.Fatalf("%s: GET after a rejected POST = %d %v, want 404", ct, code, v)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "typo")); !os.IsNotExist(err) {
+			t.Fatalf("%s: rejected POST left a WAL directory (stat: %v)", ct, err)
+		}
 	}
 }

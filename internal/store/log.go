@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -849,7 +852,8 @@ func (l *Log) applyRetentionLocked() {
 // until fn returns an error (ErrStop aborts cleanly). It reads sealed
 // segments through their own file handles and the active segment up to its
 // committed length, so any number of scans run concurrently with the
-// writer. Sealed segments whose every index is below since are skipped
+// writer; frames pass through one small buffered reader, so a scan holds
+// one frame in memory whatever the segment size. Sealed segments whose every index is below since are skipped
 // without being read — the offset-addressed part of the contract. As
 // indexes never decrease, a segment's indexes are bounded by the next
 // non-empty segment's first index, or by NextIndex−1 for the newest.
@@ -877,32 +881,42 @@ func (l *Log) Scan(since int64, fn func(Record) error) error {
 		}
 		return fn(rec)
 	}
+	br := scanReaders.Get().(*bufio.Reader)
+	defer func() {
+		br.Reset(nil)
+		scanReaders.Put(br)
+	}()
 	for _, si := range segs {
-		raw, err := l.fs().ReadFile(filepath.Join(l.dir, si.File))
-		if err != nil {
-			continue // retention raced the scan
-		}
-		if checkMagic(raw) != nil {
-			continue
-		}
-		if _, err := scanBody(segBody(raw), filtered); err != nil {
+		if err := l.scanFile(br, si.File, math.MaxInt64, filtered); err != nil {
 			return scanErr(err)
 		}
 	}
 	if activeName == "" || committed <= int64(len(segMagic)) {
 		return nil
 	}
-	raw, err := l.readPrefix(filepath.Join(l.dir, activeName), committed)
+	return scanErr(l.scanFile(br, activeName, committed, filtered))
+}
+
+// scanReaders buffer the segment reads of Scan, one per running scan.
+var scanReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 32<<10) }}
+
+// scanFile passes fn the intact records among the first size bytes of
+// segment file name, read through br. A file that is gone (retention
+// raced the scan) or has no segment magic holds no records.
+func (l *Log) scanFile(br *bufio.Reader, name string, size int64, fn func(Record) error) error {
+	f, err := l.fs().Open(filepath.Join(l.dir, name))
 	if err != nil {
 		return nil
 	}
-	if checkMagic(raw) != nil {
+	defer f.Close()
+	br.Reset(io.NewSectionReader(f, 0, size))
+	head, _ := br.Peek(len(segMagic))
+	if checkMagic(head) != nil {
 		return nil
 	}
-	if _, err := scanBody(segBody(raw), filtered); err != nil {
-		return scanErr(err)
-	}
-	return nil
+	br.Discard(len(head))
+	_, err = scanFrames(br, fn)
+	return err
 }
 
 func scanErr(err error) error {

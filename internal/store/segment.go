@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -55,28 +56,48 @@ type segScan struct {
 // reports how far the intact prefix ran. fn may be nil (pure validation);
 // a non-nil fn error aborts the scan and is returned as-is.
 func scanBody(body []byte, fn func(Record) error) (segScan, error) {
+	return scanFrames(bytes.NewReader(body), fn)
+}
+
+// scanFrames is scanBody over a reader positioned at the body start. It
+// holds one frame at a time, so scanning a segment through a small
+// buffered reader costs memory independent of the segment's size. A read
+// error other than the end of input is returned as-is.
+func scanFrames(r io.Reader, fn func(Record) error) (segScan, error) {
 	var sc segScan
+	buf := make([]byte, frameHeader, 512) // header, then header + payload
 	off := 0
 	tear := func(reason string) {
 		sc.torn = true
 		sc.reason = fmt.Sprintf("%s at byte %d", reason, off+len(segMagic))
 	}
-	for off < len(body) {
-		if len(body)-off < frameHeader {
-			tear("short frame header")
+	for {
+		if _, err := io.ReadFull(r, buf[:frameHeader]); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				tear("short frame header")
+			} else if err != io.EOF {
+				return sc, err
+			}
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(body[off:]))
-		sum := binary.LittleEndian.Uint32(body[off+4:])
+		n := int(binary.LittleEndian.Uint32(buf))
+		sum := binary.LittleEndian.Uint32(buf[4:])
 		if n == 0 || n > maxRecordBytes {
 			tear(fmt.Sprintf("implausible frame length %d", n))
 			break
 		}
-		if len(body)-off-frameHeader < n {
+		if cap(buf) < frameHeader+n {
+			buf = make([]byte, frameHeader+n)
+		}
+		buf = buf[:frameHeader+n]
+		if _, err := io.ReadFull(r, buf[frameHeader:]); err != nil {
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				return sc, err
+			}
 			tear("short frame payload")
 			break
 		}
-		payload := body[off+frameHeader : off+frameHeader+n]
+		payload := buf[frameHeader:]
 		if crc32.Checksum(payload, crcTable) != sum {
 			tear("crc mismatch")
 			break

@@ -3,6 +3,7 @@ package trace
 import (
 	"io"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -198,6 +199,28 @@ func (b *Batch) Reset() {
 	b.delay = b.delay[:0]
 	b.lost = b.lost[:0]
 	b.losses = 0
+}
+
+// maxPooledBatch is the largest capacity, in observations, PutBatch keeps.
+const maxPooledBatch = 4096
+
+var batchPool = sync.Pool{New: func() any { return NewBatch(0) }}
+
+// GetBatch returns an empty root batch, reusing one handed back by
+// PutBatch when it can.
+func GetBatch() *Batch {
+	b := batchPool.Get().(*Batch)
+	b.Reset()
+	return b
+}
+
+// PutBatch hands back a batch that nothing references any more, for
+// GetBatch to reuse. A view, which shares another batch's columns, and a
+// batch of more than 4096 observations' capacity are left to the GC.
+func PutBatch(b *Batch) {
+	if !b.view && b.Cap() <= maxPooledBatch {
+		batchPool.Put(b)
+	}
 }
 
 // Slice returns a read-only view of observations [from, to). The view
